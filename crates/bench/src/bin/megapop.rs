@@ -27,14 +27,12 @@ fn run(
     seed: u64,
     episodes: usize,
     batch: usize,
-    exact: bool,
     pool: Option<Arc<Executor>>,
 ) -> (Vec<GenerationStats>, Vec<Genome>, f64) {
     let kind = EnvKind::CartPole;
     let mut config = kind.neat_config();
     config.pop_size = pop;
     config.eval_batch = batch;
-    config.speciate_exact = exact;
     let builder = Session::builder(config, seed).expect("cartpole preset is valid");
     let builder = match pool {
         Some(pool) => builder.executor(pool),
@@ -64,7 +62,7 @@ fn main() {
     );
 
     let (serial_hist, serial_genomes, serial_s) =
-        run(pop, generations, seed, episodes, batch, false, None);
+        run(pop, generations, seed, episodes, batch, None);
     let best = serial_hist
         .iter()
         .map(|s| s.max_fitness)
@@ -78,7 +76,7 @@ fn main() {
     if threads > 1 {
         let pool = Arc::new(Executor::new(threads));
         let (par_hist, par_genomes, par_s) =
-            run(pop, generations, seed, episodes, batch, false, Some(pool));
+            run(pop, generations, seed, episodes, batch, Some(pool));
         println!(
             "threads {threads}: {par_s:.2}s total, {:.1}ms/generation ({:.2}x vs serial)",
             par_s * 1e3 / generations.max(1) as f64,
@@ -98,23 +96,4 @@ fn main() {
         );
         println!("determinism: serial and {threads}-worker runs are bit-identical");
     }
-
-    // Exact-speciation A/B: rerun with the signature-pruned scan forced
-    // off (every candidate distance computed exactly, no parent-species
-    // hints). Pruning is a pure acceleration, so the trajectory must be
-    // bit-identical — any divergence means the lower bound skipped a
-    // candidate that mattered.
-    let (exact_hist, exact_genomes, exact_s) =
-        run(pop, generations, seed, episodes, batch, true, None);
-    for (gen, (a, b)) in serial_hist.iter().zip(exact_hist.iter()).enumerate() {
-        assert_eq!(
-            a, b,
-            "generation {gen} diverged between pruned and exact speciation"
-        );
-    }
-    assert_eq!(
-        serial_genomes, exact_genomes,
-        "final populations diverged between pruned and exact speciation"
-    );
-    println!("exact A/B: pruned and exact speciation runs are bit-identical ({exact_s:.2}s exact)");
 }

@@ -54,8 +54,9 @@
 //! (`species_representative_cap`, `eval_batch`); v2 predates the state
 //! kind word and the island config knobs
 //! (`islands`/`migration_interval`/`migration_k`), so a v2 image cannot
-//! say which backend it checkpoints; v3 predates the `speciate_exact`
-//! speciation-kernel toggle. Decoding any of them returns
+//! say which backend it checkpoints; v3 predates the exact-speciation
+//! toggle word; v4 still carries that word, which v5 drops along with
+//! the toggle. Decoding any of them returns
 //! `UnsupportedVersion(v)`. Corrupt input of any shape — truncation, bit
 //! flips (caught by the checksum), garbage — returns a typed
 //! [`SnapshotError`] and never panics.
@@ -98,9 +99,9 @@ use std::fmt;
 /// First word of every snapshot image: `"GENESNAP"` in ASCII.
 pub const SNAPSHOT_MAGIC: u64 = 0x4745_4E45_534E_4150;
 /// Current wire-format version. Bumped on any layout change; see the
-/// module docs for the compatibility policy (v1–v3 images are
+/// module docs for the compatibility policy (v1–v4 images are
 /// rejected).
-pub const SNAPSHOT_VERSION: u64 = 4;
+pub const SNAPSHOT_VERSION: u64 = 5;
 /// First word of every standalone config image: `"GENECONF"` in ASCII.
 /// Config images share the snapshot envelope (magic, version, declared
 /// length, FNV-1a checksum) and version with the full snapshot format —
@@ -371,7 +372,6 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
             words.push(0);
         }
     }
-    words.push(u64::from(c.speciate_exact));
 }
 
 fn encode_genome_record(words: &mut Vec<u64>, g: &Genome) -> Result<(), SnapshotError> {
@@ -591,11 +591,6 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<NeatConfig, SnapshotError> {
         1 => Some(c.take_f64()?),
         _ => return Err(SnapshotError::Malformed("target-fitness flag")),
     };
-    let speciate_exact = match c.take()? {
-        0 => false,
-        1 => true,
-        _ => return Err(SnapshotError::Malformed("speciate-exact flag")),
-    };
     Ok(NeatConfig {
         num_inputs,
         num_outputs,
@@ -641,7 +636,6 @@ fn decode_config(c: &mut Cursor<'_>) -> Result<NeatConfig, SnapshotError> {
         activation_options,
         aggregation_options,
         target_fitness,
-        speciate_exact,
     })
 }
 

@@ -133,17 +133,6 @@ pub struct NeatConfig {
     /// reproducible and worker-count-invariant) trajectories than an
     /// uncapped run would.
     pub species_representative_cap: usize,
-    /// Disables the signature-pruned speciation fast path: every genome ×
-    /// representative distance is computed exactly, with no lower-bound
-    /// pruning, no columnar batching and no parent-species hints.
-    ///
-    /// The pruned path is **bit-identical** to the exact path by
-    /// construction (pruning only skips candidates a provable lower bound
-    /// rules out; see `docs/speciation.md`), so this knob exists for A/B
-    /// verification and debugging, not for correctness. The environment
-    /// variable `GENESYS_SPECIATE_EXACT` (any value other than `0`)
-    /// forces exact mode regardless of this field.
-    pub speciate_exact: bool,
 
     // -- reproduction ---------------------------------------------------------
     /// Per-species count of top genomes copied unchanged into the next
@@ -237,7 +226,6 @@ impl NeatConfig {
             max_stagnation: 15,
             species_elitism: 2,
             species_representative_cap: 64,
-            speciate_exact: false,
             elitism: 2,
             survival_threshold: 0.2,
             min_species_size: 2,
@@ -447,8 +435,6 @@ impl NeatConfigBuilder {
         species_elitism: usize,
         /// Sets the speciation representative-comparison ceiling.
         species_representative_cap: usize,
-        /// Forces the exact (unpruned) speciation path.
-        speciate_exact: bool,
         /// Sets per-species elitism.
         elitism: usize,
         /// Sets the parent survival threshold.

@@ -142,11 +142,9 @@ pub struct ChildPlan {
     pub key: u64,
     /// Seed of the child's private PRNG stream (see [`child_seed`]).
     pub seed: u64,
-    /// Species the parents were drawn from — the next speciation pass's
-    /// *hint* (`None` for [`ChildKind::TopUp`] slots, whose parent is the
-    /// global best regardless of species). A hint is advisory: speciation
-    /// verifies it with an exact distance check and produces bit-identical
-    /// assignments whether the hint is right, wrong, stale, or absent.
+    /// Species the parents were drawn from (`None` for
+    /// [`ChildKind::TopUp`] slots, whose parent is the global best
+    /// regardless of species).
     pub parent_species: Option<SpeciesId>,
 }
 
@@ -369,9 +367,8 @@ struct ChildOutcome {
 ///
 /// When `hints` is given, it is overwritten with each child's
 /// [`ChildPlan::parent_species`] (one entry per offspring slot, in child
-/// order) — the speciation hints for the *next* generation's
-/// [`SpeciesSet::speciate_with_hints`]. Hints are purely advisory and do
-/// not affect any evolved bit (see [`crate::species`]).
+/// order). Speciation does not read them; the out-parameter is kept so
+/// existing callers compile.
 #[allow(clippy::too_many_arguments)]
 pub fn reproduce_into(
     genomes: &[Genome],

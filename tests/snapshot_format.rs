@@ -230,7 +230,7 @@ proptest! {
         );
     }
 
-    /// Archipelago (v4, kind 1) images are a fixed point too: per-island
+    /// Archipelago (kind 1) images are a fixed point too: per-island
     /// state, migration bookkeeping and workload state all ride along.
     #[test]
     fn archipelago_encode_decode_is_a_fixed_point(
@@ -321,11 +321,11 @@ proptest! {
 #[test]
 fn prior_versions_are_rejected_for_both_state_kinds() {
     // v1 predates the snapshot gene words, v2 predates the state kind
-    // word and the island knobs, v3 predates the speciate_exact knob:
-    // all are rejected outright, for monolithic (kind 0) and
-    // archipelago (kind 1) images alike.
+    // word and the island knobs, v3 predates the exact-speciation word
+    // and v4 still carries it: all are rejected outright, for
+    // monolithic (kind 0) and archipelago (kind 1) images alike.
     for state in [evolved_state(3, 2, 10, 0), evolved_archipelago(3, 2, 12, 3)] {
-        for version in [1u64, 2, 3] {
+        for version in [1u64, 2, 3, 4] {
             let mut words = encode_snapshot(&state).unwrap();
             words[1] = version;
             let n = words.len();
