@@ -3,9 +3,9 @@
 //! software half of the paper's Table III CPU rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use genesys_neat::{NeatConfig, Network, Population};
+use genesys_neat::{EvalContext, NeatConfig, Network, Session};
 
-fn proxy_fitness(net: &Network) -> f64 {
+fn proxy_fitness(_ctx: EvalContext, net: &Network) -> f64 {
     let mut fit = 0.0;
     for case in [
         [0.1, 0.9, 0.2, 0.8],
@@ -22,17 +22,23 @@ fn bench_generation(c: &mut Criterion) {
     for &pop_size in &[50usize, 150] {
         group.bench_with_input(BenchmarkId::new("serial", pop_size), &pop_size, |b, &n| {
             let config = NeatConfig::builder(4, 1).pop_size(n).build().unwrap();
-            let mut pop = Population::new(config, 1);
-            b.iter(|| pop.evolve_once(proxy_fitness));
+            let mut session = Session::builder(config, 1)
+                .unwrap()
+                .workload(proxy_fitness)
+                .build();
+            b.iter(|| session.step());
         });
         group.bench_with_input(
             BenchmarkId::new("plp_4_threads", pop_size),
             &pop_size,
             |b, &n| {
                 let config = NeatConfig::builder(4, 1).pop_size(n).build().unwrap();
-                let mut pop = Population::new(config, 1);
-                pop.set_parallelism(4);
-                b.iter(|| pop.evolve_once(proxy_fitness));
+                let mut session = Session::builder(config, 1)
+                    .unwrap()
+                    .workload(proxy_fitness)
+                    .threads(4)
+                    .build();
+                b.iter(|| session.step());
             },
         );
     }

@@ -283,7 +283,19 @@ mod tests {
     use super::*;
     use crate::selector::{allocate_pes, select_parents, AllocPolicy};
     use crate::sram::SramConfig;
-    use genesys_neat::{NeatConfig, Population, SpeciesSet, XorWow};
+    use genesys_neat::{
+        EvalContext, Evaluator, NeatConfig, Network, Population, Session, SpeciesSet, XorWow,
+    };
+
+    /// A `pop`-genome software population after one session step.
+    fn stepped(pop: usize, seed: u64) -> Session<impl Evaluator, Population> {
+        let c = NeatConfig::builder(2, 1).pop_size(pop).build().unwrap();
+        let mut session = Session::on(Population::new(c, seed), seed)
+            .workload(|_: EvalContext, net: &Network| net.activate(&[0.4, 0.6])[0])
+            .build();
+        session.step();
+        session
+    }
 
     fn evaluated_population(n: usize) -> (Vec<Genome>, NeatConfig) {
         let c = NeatConfig::builder(3, 1).pop_size(n).build().unwrap();
@@ -367,9 +379,8 @@ mod tests {
 
     #[test]
     fn replay_matches_functional_round_count() {
-        let c = NeatConfig::builder(2, 1).pop_size(20).build().unwrap();
-        let mut pop = Population::new(c, 3);
-        pop.evolve_once(|net| net.activate(&[0.4, 0.6])[0]);
+        let session = stepped(20, 3);
+        let pop = session.backend();
         let trace = pop.last_trace().unwrap();
         let parent_sizes = vec![5usize; 20];
         let child_sizes: Vec<usize> = pop.genomes().iter().map(Genome::num_genes).collect();
@@ -390,9 +401,8 @@ mod tests {
 
     #[test]
     fn replay_multicast_beats_p2p_on_shared_parents() {
-        let c = NeatConfig::builder(2, 1).pop_size(40).build().unwrap();
-        let mut pop = Population::new(c, 4);
-        pop.evolve_once(|net| net.activate(&[0.4, 0.6])[0]);
+        let session = stepped(40, 4);
+        let pop = session.backend();
         let trace = pop.last_trace().unwrap();
         let parent_sizes = vec![5usize; 40];
         let child_sizes = vec![5usize; 40];

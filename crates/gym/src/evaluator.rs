@@ -117,8 +117,8 @@ impl Evaluator for EpisodeEvaluator {
                 let (fitness, env_steps) = episode_rollout_with(self.kind, net, env_seed, buffers);
                 Evaluation { fitness, env_steps }
             } else {
-                // Multi-episode evaluation: one environment, reset per
-                // episode (the SoC's `episodes_per_eval` semantics).
+                // Multi-episode evaluation: one environment, reset
+                // between episodes.
                 let mut env = self.kind.make(env_seed);
                 let mut total = 0.0;
                 let mut env_steps = 0;

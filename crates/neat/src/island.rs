@@ -55,16 +55,15 @@ use crate::config::NeatConfig;
 use crate::executor::Executor;
 use crate::genome::Genome;
 use crate::population::Population;
-use crate::session::{Backend, EvalContext, Evaluator, EvolutionState, RunState, SessionError};
+use crate::session::{Backend, Evaluator, EvolutionState, RunState, SessionError};
 use crate::stats::GenerationStats;
 use crate::trace::{GenerationTrace, OpCounters};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Derives island `i`'s private base seed from the run's seed: a
-/// SplitMix64-style mix (the [`EvalContext::seed`] constants), except that
-/// **island 0 keeps the run seed unchanged** so a 1-island archipelago is
-/// bit-identical to the monolithic backend.
+/// SplitMix64-style mix (the [`crate::EvalContext::seed`] constants),
+/// except that **island 0 keeps the run seed unchanged** so a 1-island
+/// archipelago is bit-identical to the monolithic backend.
 pub fn island_seed(seed: u64, island: usize) -> u64 {
     if island == 0 {
         return seed;
@@ -384,37 +383,6 @@ impl Archipelago {
     }
 }
 
-/// Evaluates one island's generation through the workload: every genome
-/// gets an [`EvalContext`] keyed by the island's private seed, the global
-/// generation, and its island-local index. Returns evaluation side
-/// tallies for the post-migration [`Population::finish_generation`].
-fn evaluate_island(
-    island: &mut Population,
-    workload: &dyn Evaluator,
-    island_base: u64,
-    generation: u64,
-) -> (u64, u64, u64) {
-    let eval_start = std::time::Instant::now();
-    let env_steps = AtomicU64::new(0);
-    let macs = island.evaluate_indexed(|index, net| {
-        let evaluation = workload.evaluate(
-            EvalContext {
-                base_seed: island_base,
-                generation,
-                index: index as u64,
-            },
-            net,
-        );
-        env_steps.fetch_add(evaluation.env_steps, Ordering::Relaxed);
-        evaluation.fitness
-    });
-    (
-        macs,
-        env_steps.load(Ordering::Relaxed),
-        eval_start.elapsed().as_nanos() as u64,
-    )
-}
-
 impl Backend for Archipelago {
     fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
         let generation = self.generation;
@@ -424,24 +392,16 @@ impl Backend for Archipelago {
             // exchange is the only cross-island synchronization point and
             // it occurs once per migration_interval generations.
             let evals = self.run_islands(|i, island| {
-                evaluate_island(island, workload, island_seed(base_seed, i), generation)
+                island.evaluate(workload, island_seed(base_seed, i), generation)
             });
             self.migrate();
-            self.run_islands(|i, island| {
-                let (macs, env_steps, eval_ns) = evals[i];
-                let mut stats = island.finish_generation(macs, eval_ns);
-                stats.env_steps = env_steps;
-                stats
-            })
+            self.run_islands(|i, island| island.finish_generation(evals[i]))
         } else {
             // Common case: one indivisible job per island, no cross-island
             // barrier between evaluation and reproduction.
             self.run_islands(|i, island| {
-                let (macs, env_steps, eval_ns) =
-                    evaluate_island(island, workload, island_seed(base_seed, i), generation);
-                let mut stats = island.finish_generation(macs, eval_ns);
-                stats.env_steps = env_steps;
-                stats
+                let eval = island.evaluate(workload, island_seed(base_seed, i), generation);
+                island.finish_generation(eval)
             })
         };
         let merged = self.merge_stats(per_island);
@@ -659,7 +619,7 @@ impl Backend for EvolutionBackend {
 mod tests {
     use super::*;
     use crate::network::Network;
-    use crate::session::Session;
+    use crate::session::{EvalContext, Session};
 
     fn proxy(ctx: EvalContext, net: &Network) -> f64 {
         let x = (ctx.seed() % 101) as f64 / 101.0;

@@ -1,10 +1,15 @@
-//! The outer evolutionary loop (Fig 3(a) of the paper).
+//! The software evolution backend: one generation of the outer loop of
+//! Fig 3(a) of the paper.
 //!
 //! A [`Population`] owns the genomes of the current generation, evaluates
-//! them against a fitness function (optionally in parallel — the paper's
+//! them through a session workload (optionally in parallel — the paper's
 //! **population-level parallelism**, PLP), applies speciation and fitness
 //! sharing, and reproduces the next generation, emitting the
-//! [`GenerationTrace`] that drives the hardware model.
+//! [`GenerationTrace`] that drives the hardware model. It has no loop of
+//! its own: a [`crate::Session`] advances it one generation per
+//! [`crate::Backend::step`] (`Session::builder`, or
+//! `Session::on(Population::new(..), seed)` to keep the concrete type for
+//! [`Population::species`] and [`Population::last_trace`]).
 
 use crate::config::NeatConfig;
 use crate::executor::{Executor, WorkerLocal};
@@ -13,42 +18,13 @@ use crate::innovation::InnovationTracker;
 use crate::network::{Network, NetworkPlan};
 use crate::reproduction::reproduce_into;
 use crate::rng::XorWow;
-use crate::session::{EvolutionState, SessionError};
+use crate::session::{EvalContext, Evaluator, EvolutionState, SessionError};
 use crate::species::SpeciesSet;
 use crate::stats::GenerationStats;
 use crate::trace::GenerationTrace;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Why an evolution run stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The target fitness was reached at the recorded generation.
-    Converged {
-        /// Generation index at which the target was first reached.
-        generation: usize,
-    },
-    /// The generation budget was exhausted without convergence.
-    GenerationLimit,
-}
-
-/// Result of [`Population::run`].
-#[derive(Debug)]
-pub struct RunResult {
-    /// Per-generation statistics, one entry per evaluated generation.
-    pub history: Vec<GenerationStats>,
-    /// Why the run stopped.
-    pub outcome: RunOutcome,
-    /// Best genome observed across the whole run.
-    pub best: Genome,
-}
-
-impl RunResult {
-    /// Convenience: did the run reach the target fitness?
-    pub fn converged(&self) -> bool {
-        matches!(self.outcome, RunOutcome::Converged { .. })
-    }
-}
 
 /// A NEAT population: the set of genomes of the current generation plus all
 /// evolution machinery.
@@ -117,24 +93,6 @@ impl Population {
         }
     }
 
-    /// Enables population-level parallelism: fitness evaluation fans out
-    /// over `threads` OS threads (the paper's CPU_b/CPU_d configuration
-    /// runs 4).
-    ///
-    /// Compatibility shim over [`Population::set_executor`]: spawns a
-    /// dedicated persistent [`Executor`] of `threads` workers (once — the
-    /// pool is reused across every subsequent generation). Pass `1` (or
-    /// `0`) to return to serial evaluation. To share one pool between
-    /// several populations, build the [`Executor`] yourself and use
-    /// [`Population::set_executor`].
-    pub fn set_parallelism(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.executor = None;
-        } else if self.executor.as_deref().map(Executor::workers) != Some(threads) {
-            self.executor = Some(Arc::new(Executor::new(threads)));
-        }
-    }
-
     /// Runs fitness evaluation on an existing persistent worker pool. The
     /// pool is shared (`Arc`), so several populations — or the bench
     /// harness's repeated workload runs — can reuse one set of threads.
@@ -142,49 +100,46 @@ impl Population {
         self.executor = Some(executor);
     }
 
-    /// The evaluation pool in use, if parallelism is enabled.
-    pub fn executor(&self) -> Option<&Arc<Executor>> {
-        self.executor.as_ref()
-    }
-
     /// Restores a population from previously evolved genomes (e.g. a
     /// genome-buffer checkpoint decoded by
-    /// `genesys_core::codec::decode_population`). The innovation counter
-    /// resumes beyond every node id present; `generation` restarts at 0.
+    /// `genesys_core::codec::decode_population`). The population size is
+    /// taken from `genomes`, the innovation counter resumes beyond every
+    /// node id present, and `generation` restarts at 0.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `config` is invalid, `genomes` is empty, or a genome's
-    /// interface does not match `config`.
-    pub fn from_genomes(config: NeatConfig, genomes: Vec<Genome>, seed: u64) -> Self {
-        config.validate().expect("invalid NeatConfig");
-        assert!(!genomes.is_empty(), "cannot restore an empty population");
-        let mut innovations = InnovationTracker::new(config.first_hidden_id());
-        let mut max_key = 0u64;
-        for g in &genomes {
-            assert_eq!(g.num_inputs(), config.num_inputs, "interface mismatch");
-            assert_eq!(g.num_outputs(), config.num_outputs, "interface mismatch");
-            innovations.witness(crate::gene::NodeId(g.max_node_id()));
-            max_key = max_key.max(g.key());
+    /// Returns the [`SessionError`] of [`EvolutionState::validate`]: an
+    /// invalid `config`, an empty `genomes` ([`SessionError::EmptyState`])
+    /// or a genome whose interface does not match `config`
+    /// ([`SessionError::InterfaceMismatch`]).
+    pub fn from_genomes(
+        mut config: NeatConfig,
+        genomes: Vec<Genome>,
+        seed: u64,
+    ) -> Result<Self, SessionError> {
+        // An empty set keeps the configured size so that validation
+        // reports it as empty rather than as a zero-sized config.
+        if !genomes.is_empty() {
+            config.pop_size = genomes.len();
         }
-        let mut config = config;
-        config.pop_size = genomes.len();
-        Population {
-            next_key: max_key + 1,
+        let innovation_next_node = genomes
+            .iter()
+            .map(|g| g.max_node_id() + 1)
+            .fold(config.first_hidden_id(), u32::max);
+        let next_key = genomes.iter().map(Genome::key).max().unwrap_or(0) + 1;
+        Population::from_state(EvolutionState {
             config,
             genomes,
-            species: SpeciesSet::new(),
-            innovations,
-            rng: XorWow::seed_from_u64_value(seed),
+            species: Vec::new(),
+            species_next_id: SpeciesSet::new().next_species_id(),
+            innovation_next_node,
+            rng_state: XorWow::seed_from_u64_value(seed).state(),
             seed,
             generation: 0,
-            executor: None,
-            last_trace: None,
+            next_key,
             best_ever: None,
-            last_champion: None,
-            arena: Vec::new(),
-            plans: WorkerLocal::new(NetworkPlan::new),
-        }
+            workload_state: 0,
+        })
     }
 
     /// Captures the complete evolution state at the current generation
@@ -261,7 +216,7 @@ impl Population {
             .set_stride(self.config.first_hidden_id() + island, islands);
     }
 
-    /// Current generation index (0 before the first [`Population::evolve_once`]).
+    /// Current generation index (0 before the first step).
     pub fn generation(&self) -> usize {
         self.generation
     }
@@ -302,29 +257,27 @@ impl Population {
         self.last_champion.as_ref()
     }
 
-    /// Evaluates every genome with `fitness_fn`, storing fitness in place.
-    /// Returns the total inference MAC count (one forward pass per genome),
-    /// used by the cost models.
-    pub fn evaluate<F>(&mut self, fitness_fn: F) -> u64
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        self.evaluate_indexed(|_, net| fitness_fn(net))
-    }
-
-    /// Like [`Population::evaluate`], but the fitness function also
-    /// receives the genome's index within the generation. This is the hook
-    /// for *deterministic* parallel evaluation: derive any per-genome
-    /// randomness (gym episode seeds, dropout masks, …) from the index so
-    /// the result is independent of which worker runs the genome — see the
-    /// determinism contract in [`crate::executor`].
-    pub fn evaluate_indexed<F>(&mut self, fitness_fn: F) -> u64
-    where
-        F: Fn(usize, &Network) -> f64 + Sync,
-    {
+    /// Evaluates every genome through `workload`, storing fitness in
+    /// place: genome `i` gets the [`EvalContext`]
+    /// `(base_seed, generation, i)`, so results are independent of which
+    /// worker runs it (see the determinism contract in
+    /// [`crate::session`]). Returns `(macs, env_steps, eval_ns)`: the
+    /// total inference MAC count (one forward pass per genome), the
+    /// environment steps consumed and the wall-clock evaluation time,
+    /// the inputs of [`Population::finish_generation`].
+    pub(crate) fn evaluate(
+        &mut self,
+        workload: &dyn Evaluator,
+        base_seed: u64,
+        generation: u64,
+    ) -> (u64, u64, u64) {
+        let start = Instant::now();
         let n = self.genomes.len();
         let genomes = &self.genomes;
         let plans = &self.plans;
+        // Order-insensitive step tally: summation commutes, so it is
+        // identical at any worker count.
+        let env_steps = AtomicU64::new(0);
         // Compile through a checked-out per-worker NetworkPlan: recompiling
         // a same-shaped genome (an unchanged elite) through a warm plan
         // allocates nothing, versus a fresh `Network::from_genome` per
@@ -333,7 +286,14 @@ impl Population {
             plans.with(|plan| {
                 Network::compile_into(plan, &genomes[i]).expect("population genomes are valid");
                 let net = plan.network();
-                (fitness_fn(i, net), net.num_macs())
+                let ctx = EvalContext {
+                    base_seed,
+                    generation,
+                    index: i as u64,
+                };
+                let evaluation = workload.evaluate(ctx, net);
+                env_steps.fetch_add(evaluation.env_steps, Ordering::Relaxed);
+                (evaluation.fitness, net.num_macs())
             })
         };
         // The persistent pool pulls genome jobs from a work-stealing deque:
@@ -359,51 +319,33 @@ impl Population {
                 self.best_ever = Some(self.genomes[best_idx].clone());
             }
         }
-        macs
-    }
-
-    /// One full generation: evaluate → speciate → fitness sharing →
-    /// stagnation → reproduce. Returns the statistics of the *evaluated*
-    /// generation; afterwards [`Population::genomes`] holds the next one.
-    pub fn evolve_once<F>(&mut self, fitness_fn: F) -> GenerationStats
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        self.evolve_once_indexed(|_, net| fitness_fn(net))
-    }
-
-    /// Index-aware variant of [`Population::evolve_once`]; see
-    /// [`Population::evaluate_indexed`] for when the index matters.
-    ///
-    /// The whole generation — evaluation, speciation's distance matrix and
-    /// child construction — runs on the persistent executor when one is
-    /// set, with results bit-identical to the serial path at any worker
-    /// count (see [`crate::executor`] and [`crate::reproduction`] for the
-    /// determinism contracts). The outgoing generation's genomes are
-    /// recycled as the next generation's child buffers, so steady-state
-    /// reproduction reuses gene storage instead of cloning per child.
-    pub fn evolve_once_indexed<F>(&mut self, fitness_fn: F) -> GenerationStats
-    where
-        F: Fn(usize, &Network) -> f64 + Sync,
-    {
-        let eval_start = Instant::now();
-        let macs = self.evaluate_indexed(fitness_fn);
-        let eval_ns = eval_start.elapsed().as_nanos() as u64;
-        self.finish_generation(macs, eval_ns)
+        (
+            macs,
+            env_steps.into_inner(),
+            start.elapsed().as_nanos() as u64,
+        )
     }
 
     /// The post-evaluation half of a generation: speciate → stagnation →
     /// fitness sharing → reproduce → advance the generation counter.
-    /// `macs` is the inference MAC count returned by
-    /// [`Population::evaluate_indexed`] and `eval_ns` the wall-clock
-    /// nanoseconds the caller spent evaluating, both threaded into the
-    /// stats.
+    /// Takes the `(macs, env_steps, eval_ns)` tally returned by
+    /// [`Population::evaluate`] and threads it into the stats.
     ///
-    /// Split out so the archipelago backend (`crate::island`) can run its
-    /// deterministic migration exchange between evaluation and
-    /// reproduction on migration epochs; every other caller goes through
-    /// [`Population::evolve_once_indexed`].
-    pub(crate) fn finish_generation(&mut self, macs: u64, eval_ns: u64) -> GenerationStats {
+    /// Split from evaluation so the archipelago backend (`crate::island`)
+    /// can run its deterministic migration exchange between the two on
+    /// migration epochs.
+    ///
+    /// Speciation's distance matrix and child construction run on the
+    /// persistent executor when one is set, with results bit-identical to
+    /// the serial path at any worker count (see [`crate::executor`] and
+    /// [`crate::reproduction`] for the determinism contracts). The
+    /// outgoing generation's genomes are recycled as the next
+    /// generation's child buffers, so steady-state reproduction reuses
+    /// gene storage instead of cloning per child.
+    pub(crate) fn finish_generation(
+        &mut self,
+        (macs, env_steps, eval_ns): (u64, u64, u64),
+    ) -> GenerationStats {
         let pool = self.executor.clone();
         let pool = pool.as_deref();
         let speciate_start = Instant::now();
@@ -439,6 +381,7 @@ impl Population {
         stats.speciate_ns = speciate_ns;
         stats.reproduce_ns = reproduce_ns;
         stats.eval_ns = eval_ns;
+        stats.env_steps = env_steps;
         stats
             .diagnostics
             .set_species_sizes(self.species.iter().map(|s| s.members.len()));
@@ -509,48 +452,16 @@ impl Population {
             self.next_key += 1;
         }
     }
-
-    /// Runs evolution until the configured target fitness is reached or
-    /// `max_generations` have been evaluated.
-    pub fn run<F>(&mut self, fitness_fn: F, max_generations: usize) -> RunResult
-    where
-        F: Fn(&Network) -> f64 + Sync,
-    {
-        let mut history = Vec::new();
-        for _ in 0..max_generations {
-            let stats = self.evolve_once(&fitness_fn);
-            let hit_target = self
-                .config
-                .target_fitness
-                .is_some_and(|t| stats.max_fitness >= t);
-            let generation = stats.generation;
-            history.push(stats);
-            if hit_target {
-                return RunResult {
-                    history,
-                    outcome: RunOutcome::Converged { generation },
-                    best: self.best_ever.clone().expect("evaluated at least once"),
-                };
-            }
-        }
-        RunResult {
-            best: self
-                .best_ever
-                .clone()
-                .unwrap_or_else(|| self.genomes[0].clone()),
-            history,
-            outcome: RunOutcome::GenerationLimit,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{Backend, Session};
 
     /// A toy separable fitness: reward networks whose output tracks the
     /// first input. Solvable by weight evolution alone.
-    fn proxy_fitness(net: &Network) -> f64 {
+    fn proxy_fitness(_ctx: EvalContext, net: &Network) -> f64 {
         let cases = [[0.0, 0.0], [0.25, 1.0], [0.5, 0.5], [1.0, 0.0]];
         let mut fit = 4.0;
         for c in &cases {
@@ -569,6 +480,13 @@ mod tests {
             .unwrap()
     }
 
+    /// A serial session on a concrete [`Population`] backend.
+    fn session(seed: u64) -> Session<impl Evaluator, Population> {
+        Session::on(Population::new(small_config(), seed), seed)
+            .workload(proxy_fitness)
+            .build()
+    }
+
     #[test]
     fn generation_zero_is_uniform() {
         let pop = Population::new(small_config(), 7);
@@ -578,23 +496,23 @@ mod tests {
     }
 
     #[test]
-    fn evolve_once_advances_generation_and_records_trace() {
-        let mut pop = Population::new(small_config(), 7);
-        let stats = pop.evolve_once(proxy_fitness);
+    fn step_advances_generation_and_records_trace() {
+        let mut s = session(7);
+        let stats = s.step();
         assert_eq!(stats.generation, 0);
-        assert_eq!(pop.generation(), 1);
-        assert_eq!(pop.genomes().len(), 40);
-        assert!(pop.last_trace().is_some());
+        assert_eq!(s.generation(), 1);
+        assert_eq!(s.genomes().len(), 40);
+        assert!(s.backend().last_trace().is_some());
         assert!(stats.ops.total() > 0);
     }
 
     #[test]
     fn fitness_improves_over_generations() {
-        let mut pop = Population::new(small_config(), 11);
-        let first = pop.evolve_once(proxy_fitness).max_fitness;
+        let mut s = session(11);
+        let first = s.step().max_fitness;
         let mut best = first;
         for _ in 0..25 {
-            best = best.max(pop.evolve_once(proxy_fitness).max_fitness);
+            best = best.max(s.step().max_fitness);
         }
         assert!(
             best > first + 0.05,
@@ -604,60 +522,94 @@ mod tests {
 
     #[test]
     fn run_stops_at_target() {
-        let mut pop = Population::new(small_config(), 3);
-        let result = pop.run(proxy_fitness, 200);
-        if result.converged() {
-            let last = result.history.last().unwrap();
+        let mut s = session(3);
+        let report = s.run(200);
+        if report.converged() {
+            let last = report.history.last().unwrap();
             assert!(last.max_fitness >= 3.8);
         } else {
-            assert_eq!(result.history.len(), 200);
+            assert_eq!(report.history.len(), 200);
         }
-        assert!(result.best.fitness().is_some());
+        assert!(report.best.unwrap().fitness().is_some());
     }
 
     #[test]
     fn parallel_and_serial_evaluation_agree() {
-        let mut serial = Population::new(small_config(), 5);
-        let macs_serial = serial.evaluate(proxy_fitness);
+        let mut serial = session(5);
+        let reference: Vec<GenerationStats> = (0..3).map(|_| serial.step()).collect();
         for workers in [1usize, 4, 8] {
-            let mut par = Population::new(small_config(), 5);
-            par.set_executor(std::sync::Arc::new(Executor::new(workers)));
-            let macs_par = par.evaluate(proxy_fitness);
-            assert_eq!(macs_serial, macs_par, "workers={workers}");
-            for (gs, gp) in serial.genomes().iter().zip(par.genomes().iter()) {
-                assert_eq!(gs.fitness(), gp.fitness(), "workers={workers}");
+            let mut par = Session::on(Population::new(small_config(), 5), 5)
+                .workload(proxy_fitness)
+                .executor(Arc::new(Executor::new(workers)))
+                .build();
+            for expect in &reference {
+                let got = par.step();
+                assert_eq!(
+                    expect.inference_macs, got.inference_macs,
+                    "workers={workers}"
+                );
+                assert_eq!(expect.max_fitness.to_bits(), got.max_fitness.to_bits());
+                assert_eq!(expect.mean_fitness.to_bits(), got.mean_fitness.to_bits());
+                assert_eq!(expect.min_fitness.to_bits(), got.min_fitness.to_bits());
             }
+            assert_eq!(
+                serial.export_state(),
+                par.export_state(),
+                "workers={workers}"
+            );
         }
     }
 
     #[test]
-    fn set_parallelism_shim_reuses_its_pool() {
-        let mut pop = Population::new(small_config(), 5);
-        pop.set_parallelism(4);
-        let pool = std::sync::Arc::as_ptr(pop.executor().unwrap());
-        pop.set_parallelism(4); // same width: must not respawn
-        assert_eq!(pool, std::sync::Arc::as_ptr(pop.executor().unwrap()));
-        pop.set_parallelism(1);
-        assert!(pop.executor().is_none(), "threads<=1 falls back to serial");
+    fn eval_context_carries_stable_indices() {
+        let mut s = Session::on(Population::new(small_config(), 5), 5)
+            .workload(|ctx: EvalContext, _: &Network| ctx.index as f64)
+            .threads(4)
+            .build();
+        let stats = s.step();
+        assert_eq!(stats.min_fitness, 0.0);
+        assert_eq!(stats.max_fitness, 39.0);
+        assert_eq!(stats.mean_fitness, 19.5);
+        // Generation 0 genome `i` has key `i`, so the fitness of the last
+        // index must have landed on the last genome.
+        let best = s.best_genome().unwrap();
+        assert_eq!((best.key(), best.fitness()), (39, Some(39.0)));
     }
 
     #[test]
-    fn evaluate_indexed_passes_stable_indices() {
-        let mut pop = Population::new(small_config(), 5);
-        pop.set_parallelism(4);
-        pop.evaluate_indexed(|i, _| i as f64);
-        for (i, g) in pop.genomes().iter().enumerate() {
-            assert_eq!(g.fitness(), Some(i as f64));
-        }
+    fn from_genomes_rejects_bad_input_with_typed_errors() {
+        assert!(matches!(
+            Population::from_genomes(small_config(), Vec::new(), 1),
+            Err(SessionError::EmptyState)
+        ));
+        let three_inputs = NeatConfig::builder(3, 1).build().unwrap();
+        let mut rng = XorWow::seed_from_u64_value(1);
+        let wrong = vec![Genome::initial(4, &three_inputs, &mut rng)];
+        assert!(matches!(
+            Population::from_genomes(small_config(), wrong, 1),
+            Err(SessionError::InterfaceMismatch {
+                key: 4,
+                inputs: 3,
+                outputs: 1
+            })
+        ));
+        // A valid set restores, sized by the genomes, at generation 0.
+        let mut evolved = session(2);
+        evolved.run(3);
+        let genomes = evolved.genomes()[..10].to_vec();
+        let restored = Population::from_genomes(small_config(), genomes, 3).unwrap();
+        assert_eq!(restored.genomes().len(), 10);
+        assert_eq!(restored.config().pop_size, 10);
+        assert_eq!(Backend::generation(&restored), 0);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let mut a = Population::new(small_config(), 99);
-        let mut b = Population::new(small_config(), 99);
+        let mut a = session(99);
+        let mut b = session(99);
         for _ in 0..5 {
-            let sa = a.evolve_once(proxy_fitness);
-            let sb = b.evolve_once(proxy_fitness);
+            let sa = a.step();
+            let sb = b.step();
             assert_eq!(sa.max_fitness, sb.max_fitness);
             assert_eq!(sa.total_genes, sb.total_genes);
             assert_eq!(sa.ops, sb.ops);
@@ -666,12 +618,12 @@ mod tests {
 
     #[test]
     fn different_seeds_diverge() {
-        let mut a = Population::new(small_config(), 1);
-        let mut b = Population::new(small_config(), 2);
+        let mut a = session(1);
+        let mut b = session(2);
         let mut any_diff = false;
         for _ in 0..5 {
-            let sa = a.evolve_once(proxy_fitness);
-            let sb = b.evolve_once(proxy_fitness);
+            let sa = a.step();
+            let sb = b.step();
             if sa.total_genes != sb.total_genes || sa.max_fitness != sb.max_fitness {
                 any_diff = true;
             }
@@ -681,22 +633,22 @@ mod tests {
 
     #[test]
     fn best_ever_tracks_across_generations() {
-        let mut pop = Population::new(small_config(), 21);
+        let mut s = session(21);
         let mut running_max = f64::NEG_INFINITY;
         for _ in 0..10 {
-            let s = pop.evolve_once(proxy_fitness);
-            running_max = running_max.max(s.max_fitness);
-            let best = pop.best_genome().unwrap().fitness().unwrap();
+            let stats = s.step();
+            running_max = running_max.max(stats.max_fitness);
+            let best = s.best_genome().unwrap().fitness().unwrap();
             assert!((best - running_max).abs() < 1e-12);
         }
     }
 
     #[test]
     fn genome_count_stays_constant() {
-        let mut pop = Population::new(small_config(), 13);
+        let mut s = session(13);
         for _ in 0..10 {
-            pop.evolve_once(proxy_fitness);
-            assert_eq!(pop.genomes().len(), 40);
+            s.step();
+            assert_eq!(s.genomes().len(), 40);
         }
     }
 }

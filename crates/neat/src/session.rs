@@ -72,11 +72,10 @@ use crate::executor::Executor;
 use crate::genome::Genome;
 use crate::island::{ArchipelagoState, EvolutionBackend};
 use crate::network::Network;
-use crate::population::{Population, RunOutcome};
+use crate::population::Population;
 use crate::species::Species;
 use crate::stats::GenerationStats;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Identifies one genome evaluation: the triple every deterministic
@@ -419,8 +418,10 @@ impl std::error::Error for SessionError {
 
 /// An evolution backend: something that can advance a population by one
 /// generation under a workload. Implemented by the software [`Population`]
-/// and by `genesys_core::GenesysSoc` (the cycle-accurate hardware model),
-/// so both are driven by the same [`Session`] loop.
+/// (and [`EvolutionBackend`], which adds the island model) and by
+/// `genesys_core::GenesysSoc` (the cycle-accurate hardware model). A
+/// backend has no run loop of its own: [`Session`] is the only driver,
+/// calling [`Backend::step`] once per generation.
 pub trait Backend {
     /// Runs one full generation: evaluates every genome through
     /// `workload` (passing an [`EvalContext`] built from `base_seed`, the
@@ -472,23 +473,8 @@ pub trait Backend {
 impl Backend for Population {
     fn step(&mut self, workload: &dyn Evaluator, base_seed: u64) -> GenerationStats {
         let generation = self.generation() as u64;
-        // Order-insensitive step aggregation: summation commutes, so the
-        // tally is identical at any worker count.
-        let env_steps = AtomicU64::new(0);
-        let mut stats = self.evolve_once_indexed(|index, net| {
-            let evaluation = workload.evaluate(
-                EvalContext {
-                    base_seed,
-                    generation,
-                    index: index as u64,
-                },
-                net,
-            );
-            env_steps.fetch_add(evaluation.env_steps, Ordering::Relaxed);
-            evaluation.fitness
-        });
-        stats.env_steps = env_steps.load(Ordering::Relaxed);
-        stats
+        let eval = self.evaluate(workload, base_seed, generation);
+        self.finish_generation(eval)
     }
 
     fn generation(&self) -> usize {
@@ -624,6 +610,18 @@ type Observer = Box<dyn FnMut(&GenerationEvent<'_>) + Send>;
 /// [`SessionBuilder::build`] only exists once a real [`Evaluator`] is set.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoWorkload;
+
+/// Why a [`Session::run`] call stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunOutcome {
+    /// The target fitness was reached at the recorded generation.
+    Converged {
+        /// Generation index at which the target was first reached.
+        generation: usize,
+    },
+    /// The generation budget was exhausted without convergence.
+    GenerationLimit,
+}
 
 /// Report of one [`Session::run`] call.
 #[derive(Debug)]

@@ -1,5 +1,5 @@
 //! The evolution-phase determinism contract, end to end: one full
-//! `evolve_once` — evaluation, parallel speciation, parallel plan/execute
+//! session step — evaluation, parallel speciation, parallel plan/execute
 //! reproduction, serial innovation assignment — must be **bit-identical**
 //! at any worker count, and the two-pass innovation assignment must match
 //! the direct serial tracker path on arbitrary genomes.
@@ -7,19 +7,34 @@
 use genesys::neat::reproduction::{child_seed, plan_offspring, ChildKind};
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Executor, Genome, InnovationTracker, NeatConfig, Network, NodeId, Population, SpeciesSet,
-    SplitRecorder, XorWow,
+    EvalContext, Evaluator, Executor, Genome, InnovationTracker, NeatConfig, Network, NodeId,
+    Population, Session, SpeciesSet, SplitRecorder, XorWow,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// A cheap, index-seeded fitness so every genome gets a distinct,
 /// deterministic score regardless of evaluation order.
-fn indexed_fitness(index: usize, net: &Network) -> f64 {
+fn indexed_fitness(ctx: EvalContext, net: &Network) -> f64 {
+    let index = ctx.index as usize;
     let inputs: Vec<f64> = (0..net.num_inputs())
         .map(|i| ((index + i) % 7) as f64 * 0.3 - 0.9)
         .collect();
     net.activate(&inputs).iter().sum::<f64>() + (index % 13) as f64 * 1e-3
+}
+
+/// A session on a concrete [`Population`] (so species and traces stay
+/// readable), on `pool` when given.
+fn session(
+    pop: usize,
+    seed: u64,
+    pool: Option<Arc<Executor>>,
+) -> Session<impl Evaluator, Population> {
+    let builder = Session::on(Population::new(config(pop), seed), seed).workload(indexed_fitness);
+    match pool {
+        Some(pool) => builder.executor(pool).build(),
+        None => builder.build(),
+    }
 }
 
 fn config(pop: usize) -> NeatConfig {
@@ -43,21 +58,19 @@ fn species_fingerprint(species: &SpeciesSet) -> Vec<(u32, Vec<usize>, u64, usize
         .collect()
 }
 
-/// `evolve_once` produces bit-identical genomes, species and traces at
+/// A session step produces bit-identical genomes, species and traces at
 /// 1, 4 and 8 workers — the acceptance test of the staged pipeline.
 #[test]
-fn evolve_once_bit_identical_at_1_4_8_workers() {
+fn step_bit_identical_at_1_4_8_workers() {
     const GENERATIONS: usize = 6;
     let run = |workers: Option<usize>| {
-        let mut pop = Population::new(config(48), 2024);
-        if let Some(w) = workers {
-            pop.set_executor(Arc::new(Executor::new(w)));
-        }
+        let mut s = session(48, 2024, workers.map(|w| Arc::new(Executor::new(w))));
         let mut traces = Vec::new();
         for _ in 0..GENERATIONS {
-            pop.evolve_once_indexed(indexed_fitness);
-            traces.push(pop.last_trace().expect("reproduced").clone());
+            s.step();
+            traces.push(s.backend().last_trace().expect("reproduced").clone());
         }
+        let pop = s.backend();
         let genomes: Vec<Genome> = pop.genomes().to_vec();
         (genomes, species_fingerprint(pop.species()), traces)
     };
@@ -86,12 +99,11 @@ fn evolve_once_bit_identical_at_1_4_8_workers() {
 #[test]
 fn shared_pool_across_generations_stays_in_lockstep() {
     let pool = Arc::new(Executor::new(4));
-    let mut serial = Population::new(config(32), 7);
-    let mut parallel = Population::new(config(32), 7);
-    parallel.set_executor(Arc::clone(&pool));
+    let mut serial = session(32, 7, None);
+    let mut parallel = session(32, 7, Some(Arc::clone(&pool)));
     for generation in 0..5 {
-        let a = serial.evolve_once_indexed(indexed_fitness);
-        let b = parallel.evolve_once_indexed(indexed_fitness);
+        let a = serial.step();
+        let b = parallel.step();
         assert_eq!(a.max_fitness.to_bits(), b.max_fitness.to_bits());
         assert_eq!(a.total_genes, b.total_genes);
         assert_eq!(a.ops, b.ops, "generation {generation}");

@@ -30,7 +30,8 @@ fn config(pop: usize) -> NeatConfig {
 }
 
 /// Index-seeded fitness: deterministic and order-independent.
-fn indexed_fitness(index: usize, net: &Network) -> f64 {
+fn indexed_fitness(ctx: EvalContext, net: &Network) -> f64 {
+    let index = ctx.index as usize;
     let inputs: Vec<f64> = (0..net.num_inputs())
         .map(|i| ((index + i) % 7) as f64 * 0.3 - 0.9)
         .collect();
@@ -61,14 +62,14 @@ fn species_fingerprint(pop: &Population) -> Vec<SpeciesFingerprint> {
 fn run_monolithic(workers: Option<usize>) -> (Vec<Genome>, Vec<SpeciesFingerprint>) {
     // 192 is above the blocked-scan cutoff (128), so every generation's
     // speciation runs the columnar kernel.
-    let mut pop = Population::new(config(192), 2024);
+    let mut builder = Session::on(Population::new(config(192), 2024), 2024);
     if let Some(w) = workers {
-        pop.set_executor(Arc::new(Executor::new(w)));
+        builder = builder.executor(Arc::new(Executor::new(w)));
     }
-    for _ in 0..GENERATIONS {
-        pop.evolve_once_indexed(indexed_fitness);
-    }
-    (pop.genomes().to_vec(), species_fingerprint(&pop))
+    let mut session = builder.workload(indexed_fitness).build();
+    session.run(GENERATIONS);
+    let pop = session.backend();
+    (pop.genomes().to_vec(), species_fingerprint(pop))
 }
 
 /// Monolithic backend: serial ≡ 1, 4 and 8 workers.
@@ -218,11 +219,13 @@ fn digest(set: &SpeciesSet) -> Vec<RefSpecies> {
 
 /// Four successive generations of an evolved population of 160 genomes.
 fn evolved_generations() -> Vec<Vec<Genome>> {
-    let mut pop = Population::new(config(160), 7);
+    let mut session = Session::on(Population::new(config(160), 7), 7)
+        .workload(indexed_fitness)
+        .build();
     let mut out = Vec::new();
     for _ in 0..6 {
-        pop.evolve_once_indexed(indexed_fitness);
-        out.push(pop.genomes().to_vec());
+        session.step();
+        out.push(session.genomes().to_vec());
     }
     out.split_off(2)
 }

@@ -1,8 +1,8 @@
 //! Stress and edge-case tests: capacity spills, degenerate selections,
 //! extreme configurations — the failure modes a downstream user will hit.
 
-use genesys::gym::{CartPole, Environment};
-use genesys::neat::{Genome, NeatConfig, Population, SpeciesSet, XorWow};
+use genesys::gym::{EnvKind, EpisodeEvaluator};
+use genesys::neat::{EvalContext, Genome, NeatConfig, Network, Session, SpeciesSet, XorWow};
 use genesys::soc::{
     allocate_pes, select_parents, AllocPolicy, EveEngine, GenesysSoc, GenomeBuffer, NocKind,
     PeConfig, SocConfig, SramConfig,
@@ -95,10 +95,13 @@ fn tiny_population_of_two_survives_many_generations() {
         .min_species_size(1)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 5);
+    let mut session = Session::builder(config, 5)
+        .unwrap()
+        .workload(|_: EvalContext, net: &Network| net.activate(&[0.5, 0.5])[0])
+        .build();
     for _ in 0..30 {
-        let stats = pop.evolve_once(|net| net.activate(&[0.5, 0.5])[0]);
-        assert_eq!(pop.genomes().len(), 2);
+        let stats = session.step();
+        assert_eq!(session.genomes().len(), 2);
         assert!(stats.max_fitness.is_finite());
     }
 }
@@ -111,11 +114,14 @@ fn soc_with_one_pe_and_one_genome_per_species_runs() {
         .min_species_size(1)
         .build()
         .unwrap();
-    let mut soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(1), neat, 6);
-    let mut factory = |i: usize| -> Box<dyn Environment> { Box::new(CartPole::new(i as u64)) };
+    let soc = GenesysSoc::new(SocConfig::default().with_num_eve_pes(1), neat, 6);
+    let mut session = Session::on(soc, 6)
+        .workload(EpisodeEvaluator::new(EnvKind::CartPole))
+        .build();
     for _ in 0..3 {
-        let report = soc.run_generation(&mut factory);
-        assert_eq!(soc.genomes().len(), 4);
+        session.step();
+        let report = session.backend().last_report().unwrap();
+        assert_eq!(session.genomes().len(), 4);
         assert!(report.evolution.rounds >= 1);
     }
 }
@@ -131,10 +137,13 @@ fn extreme_mutation_rates_never_break_invariants() {
         .weight_mutate_rate(1.0)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 7);
+    let mut session = Session::builder(config, 7)
+        .unwrap()
+        .workload(|_: EvalContext, net: &Network| net.activate(&[0.1, 0.2, 0.3]).iter().sum())
+        .build();
     for _ in 0..15 {
-        pop.evolve_once(|net| net.activate(&[0.1, 0.2, 0.3]).iter().sum());
-        for g in pop.genomes() {
+        session.step();
+        for g in session.genomes() {
             assert!(g.validate().is_ok());
         }
     }
@@ -150,11 +159,14 @@ fn zero_structural_mutation_preserves_minimal_topology() {
         .node_delete_prob(0.0)
         .build()
         .unwrap();
-    let mut pop = Population::new(config, 8);
+    let mut session = Session::builder(config, 8)
+        .unwrap()
+        .workload(|_: EvalContext, net: &Network| net.activate(&[0.1, 0.2, 0.3])[0])
+        .build();
     for _ in 0..10 {
-        pop.evolve_once(|net| net.activate(&[0.1, 0.2, 0.3])[0]);
+        session.step();
     }
-    for g in pop.genomes() {
+    for g in session.genomes() {
         assert_eq!(g.num_nodes(), 4, "weights-only evolution keeps topology");
         assert_eq!(g.num_conns(), 3);
     }

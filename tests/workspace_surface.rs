@@ -4,7 +4,7 @@
 //! quickstart must keep working when written against them.
 
 use genesys::gym::{rollout, CartPole, Environment};
-use genesys::neat::{NeatConfig, Population};
+use genesys::neat::{EvalContext, NeatConfig, Network, Session};
 use genesys::platforms::{CpuModel, WorkloadProfile};
 use genesys::soc::SocConfig;
 
@@ -54,11 +54,14 @@ fn umbrella_aliases_match_member_crates() {
 #[test]
 fn quickstart_flow_runs() {
     let config = NeatConfig::for_env("cartpole", 4, 1);
-    let mut pop = Population::new(config, 42);
-    let stats = pop.evolve_once(|net| {
-        let mut env = CartPole::new(7);
-        rollout(net, &mut env, 1)
-    });
+    let mut session = Session::builder(config, 42)
+        .unwrap()
+        .workload(|_: EvalContext, net: &Network| {
+            let mut env = CartPole::new(7);
+            rollout(net, &mut env, 1)
+        })
+        .build();
+    let stats = session.step();
     assert!(stats.max_fitness >= 0.0);
-    assert_eq!(pop.generation(), 1);
+    assert_eq!(session.generation(), 1);
 }
