@@ -16,7 +16,8 @@
 //! kind 1 (archipelago, format v3):
 //!   [4..]    global config · seed · generation · migration epoch ·
 //!            workload state · island count · one monolithic body per island
-//! [last]     FNV-1a checksum over everything before it
+//! [last]     checksum: one xor-multiply-rotate fold per word over
+//!            everything before it
 //! ```
 //!
 //! The redundant *migration epoch* word (`generation /
@@ -56,7 +57,8 @@
 //! (`islands`/`migration_interval`/`migration_k`), so a v2 image cannot
 //! say which backend it checkpoints; v3 predates the exact-speciation
 //! toggle word; v4 still carries that word, which v5 drops along with
-//! the toggle. Decoding any of them returns
+//! the toggle; v5 seals with a byte-at-a-time FNV-1a checksum, which v6
+//! replaces with the word fold. Decoding any of them returns
 //! `UnsupportedVersion(v)`. Corrupt input of any shape — truncation, bit
 //! flips (caught by the checksum), garbage — returns a typed
 //! [`SnapshotError`] and never panics.
@@ -99,12 +101,12 @@ use std::fmt;
 /// First word of every snapshot image: `"GENESNAP"` in ASCII.
 pub const SNAPSHOT_MAGIC: u64 = 0x4745_4E45_534E_4150;
 /// Current wire-format version. Bumped on any layout change; see the
-/// module docs for the compatibility policy (v1–v4 images are
+/// module docs for the compatibility policy (v1–v5 images are
 /// rejected).
-pub const SNAPSHOT_VERSION: u64 = 5;
+pub const SNAPSHOT_VERSION: u64 = 6;
 /// First word of every standalone config image: `"GENECONF"` in ASCII.
 /// Config images share the snapshot envelope (magic, version, declared
-/// length, FNV-1a checksum) and version with the full snapshot format —
+/// length, word-fold checksum) and version with the full snapshot format —
 /// the config layout is a slice of the snapshot layout, so a config
 /// layout change is by definition a snapshot layout change.
 pub const CONFIG_MAGIC: u64 = 0x4745_4E45_434F_4E46;
@@ -122,8 +124,10 @@ pub const MIGRANT_MAGIC: u64 = 0x4745_4E45_4D49_4752;
 /// rejected with [`SnapshotError::UnsupportedVersion`]. v1 predates the
 /// per-phase timing words (`speciate_ns`/`reproduce_ns`/`eval_ns`); v2
 /// predates the population-diagnostics words (`high_order_entropy`,
-/// `unique_genomes`, `species_entropy`, `largest_species`).
-pub const EVENT_VERSION: u64 = 3;
+/// `unique_genomes`, `species_entropy`, `largest_species`); v3 seals with
+/// the byte-at-a-time FNV-1a checksum that v4 replaces with the snapshot
+/// word fold.
+pub const EVENT_VERSION: u64 = 4;
 /// Largest node id the snapshot gene words can carry (31-bit id fields —
 /// far beyond the hardware codec's 14-bit `codec::MAX_NODE_ID`, so
 /// megapopulation runs checkpoint without overflow).
@@ -200,20 +204,24 @@ impl From<DecodeError> for SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// Checksum: FNV-1a over the little-endian bytes of every preceding word.
-// Not cryptographic — it detects the accidental corruption class (bit
-// flips, truncated/torn writes), which is the failure mode of a checkpoint
-// file.
+// Checksum: one xor-multiply-rotate fold per 64-bit word, the step
+// `genesys_neat::stats` uses for its genome identity hash (FNV-1a's offset
+// basis and prime, applied to whole words). Not cryptographic — it detects
+// the accidental corruption class (bit flips, truncated/torn writes), which
+// is the failure mode of a checkpoint file. The prime is odd, so each step
+// is a bijection of the running hash for a fixed word and of the word for
+// a fixed hash: two equal-length images that differ in exactly one word —
+// any single bit flip included — always hash differently.
 
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+const FOLD_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+const FOLD_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+fn fold_word(hash: u64, word: u64) -> u64 {
+    (hash ^ word).wrapping_mul(FOLD_PRIME).rotate_left(29)
+}
+
+fn checksum(words: &[u64]) -> u64 {
+    words.iter().fold(FOLD_BASIS, |hash, &w| fold_word(hash, w))
 }
 
 // ---------------------------------------------------------------------------
@@ -284,11 +292,60 @@ fn decode_conn_word(word: u64) -> Result<ConnGene, SnapshotError> {
 // ---------------------------------------------------------------------------
 // Encoding
 
-fn push_f64(words: &mut Vec<u64>, v: f64) {
-    words.push(v.to_bits());
+/// An image under construction. Words go straight into the little-endian
+/// byte buffer a file or frame holds, sized for the sealed image, so a
+/// checkpoint touches one fresh buffer. The checksum is folded as each
+/// word is pushed, so its multiply chain overlaps the encoding work
+/// instead of taking a pass of its own.
+struct ImageWriter {
+    bytes: Vec<u8>,
+    hash: u64,
+    len: usize,
 }
 
-fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
+impl ImageWriter {
+    /// Starts an image whose sealed form is exactly `len` words: magic,
+    /// version and the payload length `len - 4`.
+    fn new(magic: u64, version: u64, len: usize) -> ImageWriter {
+        let mut image = ImageWriter {
+            bytes: Vec::with_capacity(len * 8),
+            hash: FOLD_BASIS,
+            len,
+        };
+        image.push(magic);
+        image.push(version);
+        image.push((len - 4) as u64);
+        image
+    }
+
+    fn push(&mut self, word: u64) {
+        self.hash = fold_word(self.hash, word);
+        self.bytes.extend_from_slice(&word.to_le_bytes());
+    }
+
+    fn push_f64(&mut self, v: f64) {
+        self.push(v.to_bits());
+    }
+
+    /// Appends the checksum, completing the image.
+    ///
+    /// # Panics
+    ///
+    /// If the words pushed disagree with the length declared in the
+    /// header — an encoder and its length count out of step, which is a
+    /// bug, and would otherwise write an image no decoder accepts.
+    fn seal(mut self) -> Vec<u8> {
+        assert_eq!(
+            self.bytes.len() / 8 + 1,
+            self.len,
+            "image length miscounted"
+        );
+        self.bytes.extend_from_slice(&self.hash.to_le_bytes());
+        self.bytes
+    }
+}
+
+fn encode_config(words: &mut ImageWriter, c: &NeatConfig) {
     words.push(c.num_inputs as u64);
     words.push(c.num_outputs as u64);
     words.push(c.pop_size as u64);
@@ -300,12 +357,12 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
         }
         InitialWeights::Uniform { lo, hi } => {
             words.push(1);
-            push_f64(words, lo);
-            push_f64(words, hi);
+            words.push_f64(lo);
+            words.push_f64(hi);
         }
         InitialWeights::Gaussian { stdev } => {
             words.push(2);
-            push_f64(words, stdev);
+            words.push_f64(stdev);
             words.push(0);
         }
     }
@@ -338,7 +395,7 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
         c.survival_threshold,
         c.crossover_prob,
     ] {
-        push_f64(words, v);
+        words.push_f64(v);
     }
     for v in [
         c.node_delete_limit,
@@ -365,7 +422,7 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
     match c.target_fitness {
         Some(t) => {
             words.push(1);
-            push_f64(words, t);
+            words.push_f64(t);
         }
         None => {
             words.push(0);
@@ -374,13 +431,13 @@ fn encode_config(words: &mut Vec<u64>, c: &NeatConfig) {
     }
 }
 
-fn encode_genome_record(words: &mut Vec<u64>, g: &Genome) -> Result<(), SnapshotError> {
+fn encode_genome_record(words: &mut ImageWriter, g: &Genome) -> Result<(), SnapshotError> {
     words.push(g.key());
     words.push(((g.num_nodes() as u64) << 32) | g.num_conns() as u64);
     match g.fitness() {
         Some(f) => {
             words.push(1);
-            push_f64(words, f);
+            words.push_f64(f);
         }
         None => {
             words.push(0);
@@ -392,8 +449,8 @@ fn encode_genome_record(words: &mut Vec<u64>, g: &Genome) -> Result<(), Snapshot
             return Err(SnapshotError::NodeIdOverflow { id: node.id.0 });
         }
         words.push(encode_node_word(node));
-        push_f64(words, node.bias);
-        push_f64(words, node.response);
+        words.push_f64(node.bias);
+        words.push_f64(node.response);
     }
     for conn in g.conns() {
         if conn.key.src.0 > SNAPSHOT_MAX_NODE_ID || conn.key.dst.0 > SNAPSHOT_MAX_NODE_ID {
@@ -402,17 +459,17 @@ fn encode_genome_record(words: &mut Vec<u64>, g: &Genome) -> Result<(), Snapshot
             });
         }
         words.push(encode_conn_word(conn));
-        push_f64(words, conn.weight);
+        words.push_f64(conn.weight);
     }
     Ok(())
 }
 
-fn encode_species_record(words: &mut Vec<u64>, s: &Species) -> Result<(), SnapshotError> {
+fn encode_species_record(words: &mut ImageWriter, s: &Species) -> Result<(), SnapshotError> {
     words.push(u64::from(s.id.0));
     words.push(s.created_at as u64);
     words.push(s.last_improved as u64);
-    push_f64(words, s.best_fitness);
-    push_f64(words, s.adjusted_fitness);
+    words.push_f64(s.best_fitness);
+    words.push_f64(s.adjusted_fitness);
     words.push(s.members.len() as u64);
     for &m in &s.members {
         words.push(m as u64);
@@ -428,7 +485,7 @@ const KIND_ARCHIPELAGO: u64 = 1;
 /// Appends one [`EvolutionState`] body (config · counters · RNG ·
 /// genomes · species · best genome) — the payload of a monolithic
 /// snapshot, and the per-island repeating unit of an archipelago one.
-fn encode_state_body(words: &mut Vec<u64>, state: &EvolutionState) -> Result<(), SnapshotError> {
+fn encode_state_body(words: &mut ImageWriter, state: &EvolutionState) -> Result<(), SnapshotError> {
     encode_config(words, &state.config);
     words.push(state.seed);
     words.push(state.generation);
@@ -459,6 +516,46 @@ fn encode_state_body(words: &mut Vec<u64>, state: &EvolutionState) -> Result<(),
     Ok(())
 }
 
+// Exact word counts of the records above: an image's header declares its
+// length before the payload is encoded, into one buffer of its final size.
+// Each count mirrors its encoder, and `ImageWriter::seal` checks the total.
+
+/// Words of [`encode_config`]: arity and population (3), initial-weights
+/// tag and parameters (3), 27 `f64` rates, 10 integer knobs, the two
+/// option-list lengths and the target-fitness flag and value (4).
+fn config_len(c: &NeatConfig) -> usize {
+    47 + c.activation_options.len() + c.aggregation_options.len()
+}
+
+fn genome_record_len(g: &Genome) -> usize {
+    4 + 3 * g.num_nodes() + 2 * g.num_conns()
+}
+
+fn species_record_len(s: &Species) -> usize {
+    6 + s.members.len() + genome_record_len(&s.representative)
+}
+
+/// Words of [`encode_state_body`]: config, 12 counter and RNG words, the
+/// genome and species counts, the best-genome flag and the records.
+fn state_body_len(state: &EvolutionState) -> usize {
+    config_len(&state.config)
+        + 15
+        + state.genomes.iter().map(genome_record_len).sum::<usize>()
+        + state.species.iter().map(species_record_len).sum::<usize>()
+        + state.best_ever.as_ref().map_or(0, genome_record_len)
+}
+
+/// Words of the sealed snapshot image: four header words, the body and
+/// the checksum.
+fn snapshot_len(state: &RunState) -> usize {
+    5 + match state {
+        RunState::Monolithic(state) => state_body_len(state),
+        RunState::Archipelago(state) => {
+            config_len(&state.config) + 5 + state.islands.iter().map(state_body_len).sum::<usize>()
+        }
+    }
+}
+
 /// Serializes a complete run state — monolithic or archipelago — into
 /// the versioned word image (the kind word selects the body layout).
 ///
@@ -467,7 +564,11 @@ fn encode_state_body(words: &mut Vec<u64>, state: &EvolutionState) -> Result<(),
 /// Returns [`SnapshotError::NodeIdOverflow`] if a genome exceeds the
 /// snapshot gene word's 31-bit node-id space ([`SNAPSHOT_MAX_NODE_ID`]).
 pub fn encode_snapshot(state: &RunState) -> Result<Vec<u64>, SnapshotError> {
-    let mut words = vec![SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 0];
+    Ok(le_words(&snapshot_image(state)?.seal()))
+}
+
+fn snapshot_image(state: &RunState) -> Result<ImageWriter, SnapshotError> {
+    let mut words = ImageWriter::new(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, snapshot_len(state));
     match state {
         RunState::Monolithic(state) => {
             words.push(KIND_MONOLITHIC);
@@ -487,7 +588,7 @@ pub fn encode_snapshot(state: &RunState) -> Result<Vec<u64>, SnapshotError> {
             }
         }
     }
-    Ok(seal_envelope(words))
+    Ok(words)
 }
 
 // ---------------------------------------------------------------------------
@@ -835,27 +936,24 @@ pub fn decode_snapshot(words: &[u64]) -> Result<RunState, SnapshotError> {
     Ok(state)
 }
 
-/// Little-endian byte image of a word image.
-fn words_to_bytes(words: &[u64]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        bytes.extend_from_slice(&w.to_le_bytes());
-    }
+/// The words of a little-endian byte image (a trailing partial word is
+/// ignored; see [`bytes_to_words`]).
+fn le_words(bytes: &[u8]) -> Vec<u64> {
     bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        .collect()
 }
 
-/// Inverse of [`words_to_bytes`]; a length that is not a whole number of
-/// words is truncation.
+/// Inverse of [`ImageWriter::seal`]; a length that is not a whole number
+/// of words is truncation.
 fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, SnapshotError> {
     if !bytes.len().is_multiple_of(8) {
         return Err(SnapshotError::Truncated {
             offset: bytes.len() / 8,
         });
     }
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
-        .collect())
+    Ok(le_words(bytes))
 }
 
 /// Serializes a state to bytes (the word image, little-endian) — what a
@@ -865,7 +963,7 @@ fn bytes_to_words(bytes: &[u8]) -> Result<Vec<u64>, SnapshotError> {
 ///
 /// See [`encode_snapshot`].
 pub fn snapshot_to_bytes(state: &RunState) -> Result<Vec<u8>, SnapshotError> {
-    Ok(words_to_bytes(&encode_snapshot(state)?))
+    Ok(snapshot_image(state)?.seal())
 }
 
 /// Deserializes a checkpoint file's bytes.
@@ -906,14 +1004,19 @@ pub struct MigrantBatch {
 
 /// Serializes a migrant batch into a self-describing word image sharing
 /// the snapshot envelope (magic [`MIGRANT_MAGIC`], version
-/// [`SNAPSHOT_VERSION`], declared length, FNV-1a checksum).
+/// [`SNAPSHOT_VERSION`], declared length, word-fold checksum).
 ///
 /// # Errors
 ///
 /// Returns [`SnapshotError::NodeIdOverflow`] if a genome exceeds the
 /// snapshot gene word's 31-bit node-id space.
 pub fn encode_migrant_batch(batch: &MigrantBatch) -> Result<Vec<u64>, SnapshotError> {
-    let mut words = vec![MIGRANT_MAGIC, SNAPSHOT_VERSION, 0];
+    Ok(le_words(&migrant_batch_image(batch)?.seal()))
+}
+
+fn migrant_batch_image(batch: &MigrantBatch) -> Result<ImageWriter, SnapshotError> {
+    let len = 10 + batch.genomes.iter().map(genome_record_len).sum::<usize>();
+    let mut words = ImageWriter::new(MIGRANT_MAGIC, SNAPSHOT_VERSION, len);
     words.push(batch.epoch);
     words.push(batch.from_island);
     words.push(batch.to_island);
@@ -923,7 +1026,7 @@ pub fn encode_migrant_batch(batch: &MigrantBatch) -> Result<Vec<u64>, SnapshotEr
     for g in &batch.genomes {
         encode_genome_record(&mut words, g)?;
     }
-    Ok(seal_envelope(words))
+    Ok(words)
 }
 
 /// Deserializes a migrant batch produced by [`encode_migrant_batch`],
@@ -963,7 +1066,7 @@ pub fn decode_migrant_batch(words: &[u64]) -> Result<MigrantBatch, SnapshotError
 ///
 /// See [`encode_migrant_batch`].
 pub fn migrant_batch_to_bytes(batch: &MigrantBatch) -> Result<Vec<u8>, SnapshotError> {
-    Ok(words_to_bytes(&encode_migrant_batch(batch)?))
+    Ok(migrant_batch_image(batch)?.seal())
 }
 
 /// Byte form of [`decode_migrant_batch`].
@@ -978,7 +1081,7 @@ pub fn migrant_batch_from_bytes(bytes: &[u8]) -> Result<MigrantBatch, SnapshotEr
 // ---------------------------------------------------------------------------
 // Standalone images: config and generation events. Both wrap their payload
 // in the snapshot envelope — magic, version, declared payload length,
-// trailing FNV-1a checksum — so corrupt input of any shape is a typed
+// trailing word-fold checksum — so corrupt input of any shape is a typed
 // error, never a panic, exactly like full snapshots.
 
 /// Verifies an image's envelope (`magic`/`version` words, declared
@@ -1010,8 +1113,8 @@ fn open_envelope<'a>(
             SnapshotError::LengthMismatch
         });
     }
-    let (payload, checksum) = words.split_at(words.len() - 1);
-    if fnv1a(payload) != checksum[0] {
+    let (payload, sum) = words.split_at(words.len() - 1);
+    if checksum(payload) != sum[0] {
         return Err(SnapshotError::ChecksumMismatch);
     }
     Ok(c)
@@ -1026,22 +1129,18 @@ fn close_envelope(c: &Cursor<'_>) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// Seals an image under construction: fixes up the payload-length word
-/// (index 2) and appends the checksum.
-fn seal_envelope(mut words: Vec<u64>) -> Vec<u64> {
-    words[2] = (words.len() - 3) as u64;
-    words.push(fnv1a(&words));
-    words
-}
-
 /// Serializes a [`NeatConfig`] alone into a self-describing word image —
 /// the payload format of configuration-bearing wire verbs
 /// (`genesys_serve`'s `submit`), using the exact field layout snapshots
 /// embed.
 pub fn encode_config_image(config: &NeatConfig) -> Vec<u64> {
-    let mut words = vec![CONFIG_MAGIC, SNAPSHOT_VERSION, 0];
+    le_words(&config_image(config).seal())
+}
+
+fn config_image(config: &NeatConfig) -> ImageWriter {
+    let mut words = ImageWriter::new(CONFIG_MAGIC, SNAPSHOT_VERSION, 4 + config_len(config));
     encode_config(&mut words, config);
-    seal_envelope(words)
+    words
 }
 
 /// Deserializes a config image produced by [`encode_config_image`],
@@ -1064,7 +1163,7 @@ pub fn decode_config_image(words: &[u64]) -> Result<NeatConfig, SnapshotError> {
 
 /// Byte form of [`encode_config_image`] (little-endian words).
 pub fn config_to_bytes(config: &NeatConfig) -> Vec<u8> {
-    words_to_bytes(&encode_config_image(config))
+    config_image(config).seal()
 }
 
 /// Byte form of [`decode_config_image`].
@@ -1078,15 +1177,30 @@ pub fn config_from_bytes(bytes: &[u8]) -> Result<NeatConfig, SnapshotError> {
 
 /// Serializes an [`OwnedGenerationEvent`] into a self-describing word
 /// image — the push-channel payload of `genesys_serve`'s `observe` verb.
-/// The image is fixed-size (34 or 39 words): events are allocation-bounded
+/// The image is fixed-size (31 or 36 words): events are allocation-bounded
 /// by design, so the wire form is too.
 pub fn encode_event(event: &OwnedGenerationEvent) -> Vec<u64> {
-    let mut words = vec![EVENT_MAGIC, EVENT_VERSION, 0];
+    le_words(&event_image(event).seal())
+}
+
+/// Sealed event image length without a best-genome summary.
+const EVENT_LEN: usize = 31;
+/// Sealed event image length with a best-genome summary (flagged key,
+/// fitness flag and bits, node and conn counts).
+const EVENT_LEN_BEST: usize = EVENT_LEN + 5;
+
+fn event_image(event: &OwnedGenerationEvent) -> ImageWriter {
+    let len = if event.best.is_some() {
+        EVENT_LEN_BEST
+    } else {
+        EVENT_LEN
+    };
+    let mut words = ImageWriter::new(EVENT_MAGIC, EVENT_VERSION, len);
     let s = &event.stats;
     words.push(s.generation as u64);
-    push_f64(&mut words, s.max_fitness);
-    push_f64(&mut words, s.mean_fitness);
-    push_f64(&mut words, s.min_fitness);
+    words.push_f64(s.max_fitness);
+    words.push_f64(s.mean_fitness);
+    words.push_f64(s.min_fitness);
     for v in [
         s.num_species,
         s.total_nodes,
@@ -1113,9 +1227,9 @@ pub fn encode_event(event: &OwnedGenerationEvent) -> Vec<u64> {
     ] {
         words.push(v);
     }
-    push_f64(&mut words, s.diagnostics.high_order_entropy);
+    words.push_f64(s.diagnostics.high_order_entropy);
     words.push(s.diagnostics.unique_genomes as u64);
-    push_f64(&mut words, s.diagnostics.species_entropy);
+    words.push_f64(s.diagnostics.species_entropy);
     words.push(s.diagnostics.largest_species as u64);
     match &event.best {
         Some(b) => {
@@ -1124,7 +1238,7 @@ pub fn encode_event(event: &OwnedGenerationEvent) -> Vec<u64> {
             match b.fitness {
                 Some(f) => {
                     words.push(1);
-                    push_f64(&mut words, f);
+                    words.push_f64(f);
                 }
                 None => {
                     words.push(0);
@@ -1136,7 +1250,7 @@ pub fn encode_event(event: &OwnedGenerationEvent) -> Vec<u64> {
         }
         None => words.push(0),
     }
-    seal_envelope(words)
+    words
 }
 
 /// Deserializes an event image produced by [`encode_event`].
@@ -1226,7 +1340,7 @@ pub fn decode_event(words: &[u64]) -> Result<OwnedGenerationEvent, SnapshotError
 
 /// Byte form of [`encode_event`] (little-endian words).
 pub fn event_to_bytes(event: &OwnedGenerationEvent) -> Vec<u8> {
-    words_to_bytes(&encode_event(event))
+    event_image(event).seal()
 }
 
 /// Byte form of [`decode_event`].
@@ -1326,6 +1440,55 @@ mod tests {
     }
 
     #[test]
+    fn checksum_known_answer() {
+        assert_eq!(checksum(&[]), FOLD_BASIS);
+        // An empty-payload v6 snapshot envelope, folded by hand.
+        assert_eq!(
+            checksum(&[0x4745_4E45_534E_4150, 6, 0]),
+            0xA470_DADA_CABF_7694
+        );
+    }
+
+    #[test]
+    fn byte_images_are_pre_sized_exactly() {
+        // Every image is written into one buffer of its final size: no
+        // growth reallocation, no slack.
+        fn exact(bytes: Vec<u8>) {
+            assert_eq!(bytes.len(), bytes.capacity());
+        }
+        for state in [evolved_state(13, 3), evolved_run_state(13, 3, 3)] {
+            exact(snapshot_to_bytes(&state).unwrap());
+        }
+        let state = evolved_state(13, 2);
+        let state = state.as_monolithic().unwrap();
+        exact(config_to_bytes(&state.config));
+        exact(
+            migrant_batch_to_bytes(&MigrantBatch {
+                epoch: 1,
+                from_island: 0,
+                to_island: 1,
+                num_inputs: state.config.num_inputs,
+                num_outputs: state.config.num_outputs,
+                genomes: state.genomes[..2].to_vec(),
+            })
+            .unwrap(),
+        );
+        let event = OwnedGenerationEvent {
+            stats: GenerationStats::collect(2, &state.genomes, state.species.len(), None, 5),
+            best: state.best_ever.as_ref().map(BestSummary::of),
+        };
+        for e in [
+            event.clone(),
+            OwnedGenerationEvent {
+                best: None,
+                ..event
+            },
+        ] {
+            exact(event_to_bytes(&e));
+        }
+    }
+
+    #[test]
     fn garbage_input_errors() {
         assert_eq!(
             decode_snapshot(&[]).unwrap_err(),
@@ -1351,7 +1514,7 @@ mod tests {
         words[1] = SNAPSHOT_VERSION + 1;
         // Recompute the checksum so the version check itself is what trips.
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         assert_eq!(
             decode_snapshot(&words).unwrap_err(),
             SnapshotError::UnsupportedVersion(SNAPSHOT_VERSION + 1)
@@ -1410,7 +1573,7 @@ mod tests {
         words[1] = 1;
         // Recompute the checksum so the version check itself is what trips.
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         assert_eq!(
             decode_snapshot(&words).unwrap_err(),
             SnapshotError::UnsupportedVersion(1)
@@ -1425,7 +1588,7 @@ mod tests {
         let mut words = encode_snapshot(&state).unwrap();
         words[1] = 2;
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         assert_eq!(
             decode_snapshot(&words).unwrap_err(),
             SnapshotError::UnsupportedVersion(2)
@@ -1469,16 +1632,11 @@ mod tests {
         let words = encode_snapshot(&state).unwrap();
         // The epoch word sits right after config/seed/generation in the
         // archipelago body; find it by re-encoding with a poked epoch.
-        let config_len = {
-            let mut w = Vec::new();
-            encode_config(&mut w, state.config());
-            w.len()
-        };
-        let epoch_index = 3 + 1 + config_len + 2;
+        let epoch_index = 3 + 1 + config_len(state.config()) + 2;
         let mut corrupt = words.clone();
         corrupt[epoch_index] += 1;
         let n = corrupt.len();
-        corrupt[n - 1] = fnv1a(&corrupt[..n - 1]);
+        corrupt[n - 1] = checksum(&corrupt[..n - 1]);
         assert_eq!(
             decode_snapshot(&corrupt).unwrap_err(),
             SnapshotError::Malformed("migration epoch")
@@ -1491,7 +1649,7 @@ mod tests {
         let mut words = encode_snapshot(&state).unwrap();
         words[3] = 9;
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         assert_eq!(
             decode_snapshot(&words).unwrap_err(),
             SnapshotError::Malformed("state kind")
@@ -1559,9 +1717,9 @@ mod tests {
         // A structurally valid image carrying an invalid config is typed.
         let mut bad = config.clone();
         bad.pop_size = 0;
-        let mut words = vec![CONFIG_MAGIC, SNAPSHOT_VERSION, 0];
+        let mut words = ImageWriter::new(CONFIG_MAGIC, SNAPSHOT_VERSION, 4 + config_len(&bad));
         encode_config(&mut words, &bad);
-        let words = seal_envelope(words);
+        let words = le_words(&words.seal());
         assert!(matches!(
             decode_config_image(&words),
             Err(SnapshotError::InvalidState(_))
@@ -1601,7 +1759,7 @@ mod tests {
         let mut words = encode_event(&event);
         words[1] = EVENT_VERSION + 1;
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         assert_eq!(
             decode_event(&words).unwrap_err(),
             SnapshotError::UnsupportedVersion(EVENT_VERSION + 1)

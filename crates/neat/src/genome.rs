@@ -135,10 +135,11 @@ impl Genome {
         nodes: impl IntoIterator<Item = NodeGene>,
         conns: impl IntoIterator<Item = ConnGene>,
     ) -> Result<Self, GenomeError> {
+        let (nodes, conns) = (nodes.into_iter(), conns.into_iter());
         let mut genome = Genome {
             key,
-            nodes: Vec::new(),
-            conns: Vec::new(),
+            nodes: Vec::with_capacity(nodes.size_hint().0),
+            conns: Vec::with_capacity(conns.size_hint().0),
             num_inputs,
             num_outputs,
             fitness: None,
@@ -159,25 +160,68 @@ impl Genome {
     ///
     /// See [`Genome::from_parts`].
     pub fn validate(&self) -> Result<(), GenomeError> {
-        for i in 0..(self.num_inputs + self.num_outputs) as u32 {
-            if self.node(NodeId(i)).is_none() {
-                return Err(GenomeError::MissingInterfaceNode { id: i });
+        // Ids are unique and sorted, so interface ids 0..n_io must sit in
+        // slots 0..n_io exactly; the first slot that disagrees names the
+        // first missing id.
+        let n_io = self.num_inputs + self.num_outputs;
+        for i in 0..n_io {
+            if self.nodes.get(i).is_none_or(|n| n.id.0 as usize != i) {
+                return Err(GenomeError::MissingInterfaceNode { id: i as u32 });
             }
         }
+        let slot = |id: NodeId| {
+            let i = id.0 as usize;
+            if i < n_io {
+                Some(i)
+            } else {
+                let hidden = &self.nodes[n_io..];
+                hidden
+                    .binary_search_by(|n| n.id.cmp(&id))
+                    .ok()
+                    .map(|p| n_io + p)
+            }
+        };
+        // Each connection's endpoints resolve to slots once. The cluster is
+        // sorted by (src, dst) and slots follow id order, so destination
+        // slots in gene order are already the CSR edge array; `start` only
+        // needs the per-source out-degrees prefix-summed.
+        let n = self.nodes.len();
+        let mut start = vec![0usize; n + 1];
+        let mut indegree = vec![0usize; n];
+        let mut targets = Vec::with_capacity(self.conns.len());
         for conn in &self.conns {
-            if self.node(conn.key.src).is_none() || self.node(conn.key.dst).is_none() {
+            let (Some(s), Some(d)) = (slot(conn.key.src), slot(conn.key.dst)) else {
                 return Err(GenomeError::DanglingConnection {
                     src: conn.key.src.0,
                     dst: conn.key.dst.0,
                 });
-            }
-            if self.node_type(conn.key.dst) == Some(NodeType::Input) {
+            };
+            if self.nodes[d].node_type == NodeType::Input {
                 return Err(GenomeError::ConnectionIntoInput {
                     dst: conn.key.dst.0,
                 });
             }
+            start[s + 1] += 1;
+            indegree[d] += 1;
+            targets.push(d);
         }
-        if self.has_cycle() {
+        for s in 0..n {
+            start[s + 1] += start[s];
+        }
+        // Kahn's elimination: a node that is never freed sits on or behind
+        // a cycle.
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut visited = 0usize;
+        while let Some(v) = ready.pop() {
+            visited += 1;
+            for &t in &targets[start[v]..start[v + 1]] {
+                indegree[t] -= 1;
+                if indegree[t] == 0 {
+                    ready.push(t);
+                }
+            }
+        }
+        if visited != n {
             return Err(GenomeError::Cycle);
         }
         Ok(())
@@ -195,8 +239,13 @@ impl Genome {
         self.conns.binary_search_by(|c| c.key.cmp(&key))
     }
 
-    /// Inserts (or replaces) a node gene, keeping the cluster sorted.
+    /// Inserts (or replaces) a node gene, keeping the cluster sorted. A
+    /// gene past the current last id appends without a search.
     fn insert_node(&mut self, gene: NodeGene) {
+        if self.nodes.last().is_none_or(|last| last.id < gene.id) {
+            self.nodes.push(gene);
+            return;
+        }
         match self.node_pos(gene.id) {
             Ok(i) => self.nodes[i] = gene,
             Err(i) => self.nodes.insert(i, gene),
@@ -204,7 +253,12 @@ impl Genome {
     }
 
     /// Inserts (or replaces) a connection gene, keeping the cluster sorted.
+    /// A gene past the current last key appends without a search.
     fn insert_conn(&mut self, gene: ConnGene) {
+        if self.conns.last().is_none_or(|last| last.key < gene.key) {
+            self.conns.push(gene);
+            return;
+        }
         match self.conn_pos(gene.key) {
             Ok(i) => self.conns[i] = gene,
             Err(i) => self.conns.insert(i, gene),
@@ -622,43 +676,6 @@ impl Genome {
             }
         }
         false
-    }
-
-    fn has_cycle(&self) -> bool {
-        // Kahn's algorithm over slot indices: if topological elimination
-        // leaves nodes with in-degree > 0, a cycle exists.
-        let idx_of: HashMap<NodeId, usize> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.id, i))
-            .collect();
-        let mut indegree = vec![0usize; self.nodes.len()];
-        let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for conn in &self.conns {
-            // Dangling endpoints are caught by `validate` before the cycle
-            // check; skip them here so the walk stays in bounds.
-            let (Some(&s), Some(&d)) = (idx_of.get(&conn.key.src), idx_of.get(&conn.key.dst))
-            else {
-                continue;
-            };
-            indegree[d] += 1;
-            adjacency[s].push(d);
-        }
-        let mut queue: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| indegree[i] == 0)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(n) = queue.pop() {
-            visited += 1;
-            for &m in &adjacency[n] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        visited != self.nodes.len()
     }
 
     // ------------------------------------------------------------ crossover
@@ -1104,6 +1121,60 @@ mod tests {
         conns.push(ConnGene::new(NodeId(11), NodeId(10), 1.0));
         let err = Genome::from_parts(1, 3, 2, nodes, conns).unwrap_err();
         assert_eq!(err, GenomeError::Cycle);
+    }
+
+    #[test]
+    fn from_parts_rejects_hidden_cycle_downstream_of_inputs() {
+        // 1 -> 10 -> 11 -> 12 -> 10, and 12 -> output 4: every cycle node
+        // has an acyclic feeder and a downstream consumer, and node 0 is
+        // not involved.
+        let c = cfg();
+        let g = Genome::initial(0, &c, &mut rng());
+        let mut nodes: Vec<NodeGene> = g.nodes().copied().collect();
+        nodes.extend([10, 11, 12].map(|id| NodeGene::hidden(NodeId(id))));
+        let mut conns: Vec<ConnGene> = g.conns().copied().collect();
+        for (src, dst) in [(1, 10), (10, 11), (11, 12), (12, 10), (12, 4)] {
+            conns.push(ConnGene::new(NodeId(src), NodeId(dst), 1.0));
+        }
+        let err = Genome::from_parts(1, 3, 2, nodes.clone(), conns.clone()).unwrap_err();
+        assert_eq!(err, GenomeError::Cycle);
+        // Breaking the back edge makes the same genome valid.
+        conns.retain(|conn| conn.key != ConnKey::new(NodeId(12), NodeId(10)));
+        assert!(Genome::from_parts(1, 3, 2, nodes, conns).is_ok());
+    }
+
+    #[test]
+    fn from_parts_error_precedence() {
+        // Each genome carries every defect of the next one plus its own:
+        // missing interface node, then dangling, then into-input, then
+        // cycle.
+        let c = cfg();
+        let g = Genome::initial(0, &c, &mut rng());
+        let mut nodes: Vec<NodeGene> = g.nodes().copied().collect();
+        nodes.extend([10, 11].map(|id| NodeGene::hidden(NodeId(id))));
+        let mut conns: Vec<ConnGene> = g.conns().copied().collect();
+        for (src, dst) in [(10, 11), (11, 10)] {
+            conns.push(ConnGene::new(NodeId(src), NodeId(dst), 1.0));
+        }
+        let build = |nodes: &[NodeGene], conns: &[ConnGene]| {
+            Genome::from_parts(1, 3, 2, nodes.to_vec(), conns.to_vec()).unwrap_err()
+        };
+        assert_eq!(build(&nodes, &conns), GenomeError::Cycle);
+        conns.push(ConnGene::new(NodeId(10), NodeId(2), 1.0));
+        assert_eq!(
+            build(&nodes, &conns),
+            GenomeError::ConnectionIntoInput { dst: 2 }
+        );
+        conns.push(ConnGene::new(NodeId(4), NodeId(99), 1.0));
+        assert_eq!(
+            build(&nodes, &conns),
+            GenomeError::DanglingConnection { src: 4, dst: 99 }
+        );
+        nodes.retain(|n| n.id != NodeId(3));
+        assert_eq!(
+            build(&nodes, &conns),
+            GenomeError::MissingInterfaceNode { id: 3 }
+        );
     }
 
     #[test]

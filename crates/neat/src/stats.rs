@@ -57,8 +57,9 @@ const LZ_TABLE_BITS: u32 = 16;
 /// hashed.
 const LZ_SCAN_CAP: usize = 1 << 16;
 
-/// FNV-1a offset basis / prime, the same constants the snapshot checksum
-/// uses.
+/// FNV-1a offset basis / prime. The snapshot checksum
+/// (`genesys_core::snapshot`) uses the same constants and the same
+/// `fnv1a_word` fold.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 

@@ -29,12 +29,14 @@
 //! most this many sessions keep live arenas). When a session beyond the
 //! resident cap is needed, the least-recently-touched resident session —
 //! idle ones first — is spilled to disk as a `genesys_core::snapshot`
-//! image and dropped from RAM. Rehydration rebuilds the session from the
-//! image via `Session::resume`; because snapshots capture the complete
-//! evolution state, an evict/rehydrate cycle is **bit-identical** to
-//! never having evicted (asserted by `tests/serve_eviction.rs` and the
-//! CI smoke job). Checkpoint requests against evicted sessions are
-//! served straight from the spill file without rehydrating.
+//! image (written to a temp file, synced and renamed into place, so a
+//! crash never leaves a torn spill) and dropped from RAM. Rehydration
+//! rebuilds the session from the image via `Session::resume`; because
+//! snapshots capture the complete evolution state, an evict/rehydrate
+//! cycle is **bit-identical** to never having evicted (asserted by
+//! `tests/serve_eviction.rs` and the CI smoke job). Checkpoint requests
+//! against evicted sessions are served straight from the spill file
+//! without rehydrating.
 
 use crate::error::ServeError;
 use crate::protocol::{Reply, Request, ServerStats};
@@ -42,7 +44,9 @@ use crate::workload::{ServeWorkload, WorkloadSpec};
 use genesys_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes};
 use genesys_neat::{EvolutionBackend, Executor, OwnedGenerationEvent, Session};
 use std::collections::{BTreeMap, VecDeque};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -521,7 +525,7 @@ impl Scheduler {
         };
         if !entry.spilled {
             let bytes = snapshot_to_bytes(&session.export_state())?;
-            if let Err(e) = std::fs::write(&path, bytes) {
+            if let Err(e) = write_atomically(&path, &bytes) {
                 // Keep the session resident rather than lose its state.
                 entry.resident = Some(session);
                 return Err(ServeError::Io(e.to_string()));
@@ -583,6 +587,22 @@ impl Scheduler {
             max_resident: self.config.max_resident as u64,
             dropped_events: self.dropped_events,
         }
+    }
+}
+
+/// Replaces `path` with `bytes` so that a crash mid-spill leaves the
+/// previous image or the new one, never a torn file: the bytes go to a
+/// `.tmp` sibling, are synced, and the sibling is renamed over `path`
+/// (then the directory is synced so the rename itself is durable).
+fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = path.with_extension("gsnap.tmp");
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    match path.parent() {
+        Some(dir) => File::open(dir)?.sync_all(),
+        None => Ok(()),
     }
 }
 
@@ -809,6 +829,36 @@ mod tests {
         };
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.rehydrations, 1);
+    }
+
+    #[test]
+    fn stray_spill_tmp_file_does_not_affect_rehydration() {
+        let dir = temp_dir("stray-tmp");
+        let server = Server::start(ServerConfig::new(&dir)).unwrap();
+        let client = server.client();
+        let sid = submit(&client, 13);
+        step(&client, sid, 2);
+        client.call(Request::Evict { session: sid }).unwrap();
+        let spill = dir.join(format!("sess-{sid}.gsnap"));
+        let tmp = dir.join(format!("sess-{sid}.gsnap.tmp"));
+        assert!(spill.exists() && !tmp.exists(), "spill renamed into place");
+        // What a crash between write and rename leaves behind.
+        std::fs::write(&tmp, b"torn half-written image").unwrap();
+
+        step(&client, sid, 1);
+        client.call(Request::Evict { session: sid }).unwrap();
+        let Reply::Snapshot { image, .. } =
+            client.call(Request::Checkpoint { session: sid }).unwrap()
+        else {
+            panic!("expected snapshot");
+        };
+        let mut direct = Session::builder(config(), 13)
+            .unwrap()
+            .workload(WorkloadSpec::Synthetic.build())
+            .build();
+        direct.run(3);
+        assert_eq!(image, snapshot_to_bytes(&direct.export_state()).unwrap());
+        assert!(!tmp.exists(), "the next spill replaces the stray file");
     }
 
     #[test]

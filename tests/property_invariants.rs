@@ -3,7 +3,8 @@
 
 use genesys::neat::trace::OpCounters;
 use genesys::neat::{
-    Activation, Aggregation, Genome, InnovationTracker, NeatConfig, Network, XorWow,
+    Activation, Aggregation, ConnGene, Genome, InnovationTracker, NeatConfig, Network, NodeGene,
+    XorWow,
 };
 use genesys::soc::{align_parents, codec, merge_child, EvePe, PeConfig};
 use proptest::prelude::*;
@@ -236,6 +237,60 @@ proptest! {
         for conn in child.conns() {
             prop_assert!(p1.conn(conn.key).is_some());
         }
+    }
+
+    /// `from_parts` is order-insensitive and a repeated key keeps its last
+    /// occurrence: genes shuffled with re-weighted duplicates build the
+    /// same genome as the sorted, last-wins deduplicated input.
+    #[test]
+    fn from_parts_shuffled_duplicates_match_sorted_last_wins(
+        config in arb_config(),
+        seed in any::<u64>(),
+        steps in 0usize..30,
+        dups in 0usize..8,
+    ) {
+        let mut rng = XorWow::seed_from_u64_value(seed);
+        let mut innov = InnovationTracker::new(config.first_hidden_id());
+        let mut genome = Genome::initial(0, &config, &mut rng);
+        let mut ops = OpCounters::new();
+        for _ in 0..steps {
+            genome.mutate(&config, &mut innov, &mut rng, &mut ops);
+        }
+        let mut nodes: Vec<NodeGene> = genome.nodes().copied().collect();
+        let mut conns: Vec<ConnGene> = genome.conns().copied().collect();
+        for d in 0..dups {
+            let mut node = nodes[rng.below(nodes.len())];
+            node.bias += 1.0 + d as f64;
+            nodes.push(node);
+            if !conns.is_empty() {
+                let mut conn = conns[rng.below(conns.len())];
+                conn.weight -= 1.0 + d as f64;
+                conns.push(conn);
+            }
+        }
+        fn shuffle<T>(v: &mut [T], rng: &mut XorWow) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.below(i + 1));
+            }
+        }
+        shuffle(&mut nodes, &mut rng);
+        shuffle(&mut conns, &mut rng);
+        // Reverse, stable-sort, keep the first of each key: the last
+        // occurrence in the shuffled order survives.
+        let mut sorted_nodes = nodes.clone();
+        sorted_nodes.reverse();
+        sorted_nodes.sort_by_key(|n| n.id);
+        sorted_nodes.dedup_by_key(|n| n.id);
+        let mut sorted_conns = conns.clone();
+        sorted_conns.reverse();
+        sorted_conns.sort_by_key(|c| c.key);
+        sorted_conns.dedup_by_key(|c| c.key);
+
+        let (ni, no) = (config.num_inputs, config.num_outputs);
+        let shuffled = Genome::from_parts(7, ni, no, nodes, conns).expect("valid genes");
+        let expected =
+            Genome::from_parts(7, ni, no, sorted_nodes, sorted_conns).expect("valid genes");
+        prop_assert_eq!(shuffled, expected);
     }
 
     /// XOR-WOW uniformity sanity: chance(p) hits within generous bounds.

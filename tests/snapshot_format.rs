@@ -5,7 +5,11 @@
 
 use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
 use genesys::neat::{
-    EvalContext, Genome, NeatConfig, Network, NodeGene, NodeId, RunState, Session,
+    BestSummary, EvalContext, GenerationStats, Genome, NeatConfig, Network, NodeGene, NodeId,
+    OwnedGenerationEvent, RunState, Session,
+};
+use genesys::soc::snapshot::{
+    decode_config_image, decode_event, encode_config_image, encode_event, EVENT_VERSION,
 };
 use genesys::soc::{
     decode_migrant_batch, decode_snapshot, encode_migrant_batch, encode_snapshot,
@@ -14,17 +18,14 @@ use genesys::soc::{
 };
 use proptest::prelude::*;
 
-/// FNV-1a over little-endian word bytes — the snapshot checksum, restated
+/// One xor-multiply-rotate fold per word — the snapshot checksum, restated
 /// here so corruption tests can re-seal a deliberately altered header.
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    hash
+fn checksum(words: &[u64]) -> u64 {
+    words.iter().fold(0xCBF2_9CE4_8422_2325u64, |hash, &w| {
+        (hash ^ w)
+            .wrapping_mul(0x0000_0100_0000_01B3)
+            .rotate_left(29)
+    })
 }
 
 /// Builds a genuinely evolved state (species, innovations, RNG mid-stream,
@@ -97,6 +98,24 @@ fn evolved_archipelago(seed: u64, generations: usize, pop: usize, islands: usize
         .build();
     s.run(generations);
     s.export_state()
+}
+
+/// A word-image decoder reduced to the error it reports, if any.
+type ImageDecoder = fn(&[u64]) -> Option<SnapshotError>;
+
+/// The generation event a session would publish for `state`.
+fn event_of(state: &RunState) -> OwnedGenerationEvent {
+    let state = state.as_monolithic().expect("monolithic workload");
+    OwnedGenerationEvent {
+        stats: GenerationStats::collect(
+            state.generation as usize,
+            &state.genomes,
+            state.species.len(),
+            None,
+            17,
+        ),
+        best: state.best_ever.as_ref().map(BestSummary::of),
+    }
 }
 
 /// A migrant batch cloned off a real evolved population, as the ring
@@ -223,7 +242,7 @@ proptest! {
         let mut words = encode_snapshot(&state).unwrap();
         words[1] = version;
         let n = words.len();
-        words[n - 1] = fnv1a(&words[..n - 1]);
+        words[n - 1] = checksum(&words[..n - 1]);
         prop_assert_eq!(
             decode_snapshot(&words).unwrap_err(),
             SnapshotError::UnsupportedVersion(version)
@@ -304,6 +323,36 @@ proptest! {
         prop_assert!(migrant_batch_from_bytes(&bytes[..blen]).is_err());
     }
 
+    /// Replacing any one payload word (or the checksum word itself) with
+    /// any other value is caught by the checksum, for every image kind
+    /// that shares the envelope: snapshot, config, event and migrant batch.
+    #[test]
+    fn single_word_replacement_is_a_checksum_mismatch(
+        seed in any::<u64>(),
+        pick in any::<u64>(),
+        value in any::<u64>(),
+    ) {
+        let state = evolved_state(seed, 2, 10, seed as u8);
+        let snapshot = encode_snapshot(&state).unwrap();
+        let config = encode_config_image(state.config());
+        let event = encode_event(&event_of(&state));
+        let migrants = encode_migrant_batch(&migrant_batch(seed, 3)).unwrap();
+        let decoders: [(&[u64], ImageDecoder); 4] = [
+            (&snapshot, |w| decode_snapshot(w).err()),
+            (&config, |w| decode_config_image(w).err()),
+            (&event, |w| decode_event(w).err()),
+            (&migrants, |w| decode_migrant_batch(w).err()),
+        ];
+        for (image, decode) in decoders {
+            // Words 0..3 are magic, version and length: typed errors of
+            // their own. Everything after them is covered by the checksum.
+            let i = 3 + (pick as usize) % (image.len() - 3);
+            let mut corrupt = image.to_vec();
+            corrupt[i] = if value == image[i] { !value } else { value };
+            prop_assert_eq!(decode(&corrupt), Some(SnapshotError::ChecksumMismatch), "word {}", i);
+        }
+    }
+
     /// Random garbage never decodes and never panics.
     #[test]
     fn garbage_never_decodes(
@@ -321,20 +370,46 @@ proptest! {
 #[test]
 fn prior_versions_are_rejected_for_both_state_kinds() {
     // v1 predates the snapshot gene words, v2 predates the state kind
-    // word and the island knobs, v3 predates the exact-speciation word
-    // and v4 still carries it: all are rejected outright, for
-    // monolithic (kind 0) and archipelago (kind 1) images alike.
+    // word and the island knobs, v3 predates the exact-speciation word,
+    // v4 still carries it and v5 seals with the byte-wise FNV-1a
+    // checksum: all are rejected outright, for monolithic (kind 0) and
+    // archipelago (kind 1) images alike.
     for state in [evolved_state(3, 2, 10, 0), evolved_archipelago(3, 2, 12, 3)] {
-        for version in [1u64, 2, 3, 4] {
+        for version in [1u64, 2, 3, 4, 5] {
             let mut words = encode_snapshot(&state).unwrap();
             words[1] = version;
             let n = words.len();
-            words[n - 1] = fnv1a(&words[..n - 1]);
+            words[n - 1] = checksum(&words[..n - 1]);
             assert_eq!(
                 decode_snapshot(&words).unwrap_err(),
                 SnapshotError::UnsupportedVersion(version)
             );
         }
+    }
+}
+
+#[test]
+fn prior_event_versions_are_rejected() {
+    // v3 events seal with the byte-wise FNV-1a checksum; v4 folds words.
+    let mut words = encode_event(&event_of(&evolved_state(3, 2, 10, 0)));
+    assert_eq!(EVENT_VERSION, 4);
+    words[1] = 3;
+    let n = words.len();
+    words[n - 1] = checksum(&words[..n - 1]);
+    assert_eq!(
+        decode_event(&words).unwrap_err(),
+        SnapshotError::UnsupportedVersion(3)
+    );
+}
+
+#[test]
+fn restated_checksum_matches_the_library() {
+    for image in [
+        encode_snapshot(&evolved_state(5, 2, 10, 0)).unwrap(),
+        encode_snapshot(&evolved_archipelago(5, 2, 12, 3)).unwrap(),
+    ] {
+        let n = image.len();
+        assert_eq!(checksum(&image[..n - 1]), image[n - 1]);
     }
 }
 
