@@ -15,7 +15,6 @@
 
 use genesys_neat::gene::NodeType;
 use genesys_neat::{Genome, Network};
-use std::collections::HashSet;
 
 /// ADAM geometry and vectorize-cost parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,20 +98,25 @@ pub fn inference_timing(net: &Network, config: &AdamConfig) -> AdamReport {
     let mut vectorize_cycles = 0u64;
     let mut macs = 0u64;
 
-    // Predecessor sets per layer: distinct source slots feeding the layer.
+    // Predecessor sets per layer: distinct source slots feeding the layer,
+    // counted by sort + dedup in one buffer reused across layers.
+    let mut sources: Vec<usize> = Vec::new();
     for &(start, end) in net.layer_eval_ranges().iter().skip(1) {
         let m = end - start;
         if m == 0 {
             continue;
         }
-        let mut sources: HashSet<usize> = HashSet::new();
-        let mut layer_macs = 0u64;
+        sources.clear();
         for eval in start..end {
-            for &(src_slot, _) in net.incoming_edges(eval) {
-                sources.insert(src_slot);
-                layer_macs += 1;
-            }
+            sources.extend(
+                net.incoming_edges(eval)
+                    .iter()
+                    .map(|&(src_slot, _)| src_slot),
+            );
         }
+        let layer_macs = sources.len() as u64;
+        sources.sort_unstable();
+        sources.dedup();
         let k = sources.len().max(1);
         let tiles_m = m.div_ceil(config.cols);
         let tiles_k = k.div_ceil(config.rows);
@@ -287,8 +291,9 @@ mod tests {
 
     #[test]
     fn packed_schedule_beats_naive_per_vertex() {
-        // The DESIGN.md §5 "ADAM packing" ablation: packing wavefronts into
-        // matrix-vector products must not be slower, and wins utilization.
+        // The packing ablation: the vectorize routine exists to pack
+        // wavefronts into matrix-vector products, so packing must not be
+        // slower than one vertex at a time, and must win utilization.
         for extra in [0usize, 4, 10] {
             let (g, _) = genome_with_structure(extra);
             let net = Network::from_genome(&g).unwrap();

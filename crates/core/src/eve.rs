@@ -9,7 +9,7 @@
 //! through the hardware gene encoding) and the **microarchitectural
 //! accounting** (cycles, SRAM reads under the chosen NoC, op counts).
 
-use crate::noc::{Noc, NocKind, NocStats};
+use crate::noc::{Noc, NocKind, NocStats, StreamDemand};
 use crate::pe::{EvePe, PeConfig};
 use crate::selector::{MatingPlan, PeSchedule};
 use crate::sram::GenomeBuffer;
@@ -114,29 +114,23 @@ impl EveEngine {
         let mut pes: Vec<EvePe> = (0..self.num_pes)
             .map(|i| EvePe::new(self.pe_config.clone(), self.prng_seed ^ (i as u64) << 17))
             .collect();
+        let mut demands = Vec::with_capacity(self.num_pes);
         for round in &schedule.rounds {
             // Build each PE's aligned stream.
             let streams: Vec<_> = round
                 .iter()
                 .map(|p| align_parents(&genomes[p.fit_parent], &genomes[p.other_parent]))
                 .collect();
-            let longest = streams.iter().map(Vec::len).max().unwrap_or(0);
-            // Cycle-accurate NoC accounting: each active PE requests one
-            // gene from each parent stream per cycle.
-            let mut requests: Vec<(u64, u32)> = Vec::with_capacity(2 * round.len());
-            for t in 0..longest {
-                requests.clear();
-                for (plan, stream) in round.iter().zip(&streams) {
-                    if t < stream.len() {
-                        requests.push((genomes[plan.fit_parent].key(), t as u32));
-                        if plan.other_parent != plan.fit_parent {
-                            requests.push((genomes[plan.other_parent].key(), t as u32));
-                        }
-                    }
-                }
-                let reads = noc.distribute_cycle(&requests);
-                buffer.read_genes(reads);
-            }
+            // NoC accounting: each active PE requests one gene from each
+            // parent stream per cycle.
+            demands.clear();
+            demands.extend(
+                round
+                    .iter()
+                    .zip(&streams)
+                    .map(|(plan, stream)| stream_demand(plan, stream.len(), |i| genomes[i].key())),
+            );
+            noc.distribute_round(&demands, buffer);
             // Functional PE work + per-round timing (slowest PE).
             let mut round_cycles = 0u64;
             for ((plan, stream), pe) in round.iter().zip(&streams).zip(pes.iter_mut()) {
@@ -167,6 +161,16 @@ impl EveEngine {
             drops,
             rounds: schedule.rounds.len(),
         }
+    }
+}
+
+/// The NoC load of the PE running `plan` over a stream of `len` gene
+/// pairs; `id` names a parent genome on the network.
+fn stream_demand(plan: &MatingPlan, len: usize, id: impl Fn(usize) -> u64) -> StreamDemand {
+    StreamDemand {
+        fit: id(plan.fit_parent),
+        other: (plan.other_parent != plan.fit_parent).then(|| id(plan.other_parent)),
+        len: len as u64,
     }
 }
 
@@ -211,8 +215,9 @@ pub fn replay_trace(
     )
 }
 
-/// [`replay_trace`] with an explicit PE allocation policy (the greedy vs
-/// round-robin ablation of `DESIGN.md` §5).
+/// [`replay_trace`] with an explicit PE allocation policy: the greedy vs
+/// round-robin ablation, which isolates how much of the multicast tree's
+/// read saving comes from grouping children that share parents.
 #[allow(clippy::too_many_arguments)]
 pub fn replay_trace_with_policy(
     trace: &GenerationTrace,
@@ -243,24 +248,18 @@ pub fn replay_trace_with_policy(
         buffer.read_genes(genes);
         buffer.write_genes(genes);
     }
-    let mut requests: Vec<(u64, u32)> = Vec::with_capacity(2 * num_pes);
+    let mut demands = Vec::with_capacity(num_pes);
     for round in &schedule.rounds {
         let stream_len =
-            |p: &MatingPlan| parent_sizes[p.fit_parent].max(parent_sizes[p.other_parent]) as u64;
-        let longest = round.iter().map(stream_len).max().unwrap_or(0);
-        for t in 0..longest {
-            requests.clear();
-            for plan in round {
-                if t < stream_len(plan) {
-                    requests.push((plan.fit_parent as u64, t as u32));
-                    if plan.other_parent != plan.fit_parent {
-                        requests.push((plan.other_parent as u64, t as u32));
-                    }
-                }
-            }
-            let reads = noc.distribute_cycle(&requests);
-            buffer.read_genes(reads);
-        }
+            |p: &MatingPlan| parent_sizes[p.fit_parent].max(parent_sizes[p.other_parent]);
+        demands.clear();
+        demands.extend(
+            round
+                .iter()
+                .map(|plan| stream_demand(plan, stream_len(plan), |i| i as u64)),
+        );
+        noc.distribute_round(&demands, buffer);
+        let longest = demands.iter().map(|d| d.len).max().unwrap_or(0);
         // Slowest PE: setup 2 + stream + drain 4 (add-extra folded into the
         // recorded per-child op counts is negligible at this granularity).
         cycles += 2 + longest + 4;

@@ -72,7 +72,8 @@ pub fn select_parents(
         .collect()
 }
 
-/// PE assignment policy — an ablation axis (DESIGN.md §5).
+/// PE assignment policy. Round-robin is the ablation baseline that shows
+/// what GLR-aware grouping saves in SRAM reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AllocPolicy {
     /// The paper's policy: group children sharing parents into the same

@@ -28,7 +28,7 @@ use crate::sram::{GenomeBuffer, SramStats};
 use genesys_neat::trace::OpCounters;
 use genesys_neat::{
     Backend, EvalContext, Evaluation, Evaluator, EvolutionState, GenerationStats, Genome,
-    NeatConfig, Network, RunState, SessionError, SpeciesSet, XorWow,
+    NeatConfig, Network, NetworkPlan, RunState, SessionError, SpeciesSet, XorWow,
 };
 
 /// Inference-phase accounting (walkthrough steps 1–6).
@@ -219,10 +219,12 @@ impl Backend for GenesysSoc {
         let mut best_fit = f64::NEG_INFINITY;
         let mut fitness_sum = 0.0;
         let mut one_pass_macs = 0u64;
+        let mut plan = NetworkPlan::new();
         for idx in 0..self.genomes.len() {
             let genome = &self.genomes[idx];
-            let net = Network::from_genome(genome).expect("resident genomes are valid");
-            let timing = inference_timing(&net, &self.soc.adam);
+            Network::compile_into(&mut plan, genome).expect("resident genomes are valid");
+            let net = plan.network();
+            let timing = inference_timing(net, &self.soc.adam);
             one_pass_macs += net.num_macs();
             // Step 1: map the genome over the MAC units (one pass of its
             // genes from the buffer).
@@ -235,7 +237,7 @@ impl Backend for GenesysSoc {
             let Evaluation {
                 fitness,
                 env_steps: steps,
-            } = workload.evaluate(ctx, &net);
+            } = workload.evaluate(ctx, net);
             // Steps 2–5: every environment step is one packed inference.
             inference.env_steps += steps;
             inference.cycles += steps * timing.total_cycles();

@@ -132,9 +132,16 @@ impl GenomeBuffer {
     /// Records `n` gene reads, splitting them between SRAM and DRAM by the
     /// spill fraction.
     pub fn read_genes(&mut self, n: u64) {
+        self.read_genes_repeated(n, 1);
+    }
+
+    /// Records `accesses` separate reads of `n` genes each: the same
+    /// counters as calling [`GenomeBuffer::read_genes`] `accesses` times,
+    /// since the spill split is rounded per access.
+    pub(crate) fn read_genes_repeated(&mut self, n: u64, accesses: u64) {
         let spill = (n as f64 * self.spill_fraction()).round() as u64;
-        self.stats.reads += n - spill;
-        self.stats.dram_accesses += spill;
+        self.stats.reads += (n - spill) * accesses;
+        self.stats.dram_accesses += spill * accesses;
     }
 
     /// Records `n` gene writes.

@@ -11,6 +11,7 @@
 use crate::codec::Gene;
 use genesys_neat::gene::{ConnGene, NodeGene, NodeType};
 use genesys_neat::{Genome, GenomeError};
+use std::collections::HashMap;
 
 /// One aligned slot of the parent gene streams: the same key as seen by
 /// parent 1 (the fitter parent) and parent 2.
@@ -111,10 +112,12 @@ pub fn align_parents(fit: &Genome, other: &Genome) -> Vec<AlignedPair> {
 pub struct MergeReport {
     /// The assembled, validated child genome.
     pub genome: Genome,
-    /// Connection genes dropped because an endpoint was missing.
+    /// Connection genes dropped because an endpoint was missing, they
+    /// ended at an input node or they were self-loops.
     pub dropped_dangling: usize,
     /// Connection genes dropped because they would have made the graph
-    /// cyclic (feed-forward repair; see `DESIGN.md` §4).
+    /// cyclic (ADAM evaluates wavefronts in topological order, so the
+    /// network must stay feed-forward).
     pub dropped_cyclic: usize,
     /// Genes dropped as duplicates of an earlier key.
     pub dropped_duplicates: usize,
@@ -126,8 +129,22 @@ pub struct MergeReport {
 /// genome"; for newly added genes it "ensures that they are sequenced in
 /// the right order when put together in memory". On top of ordering, this
 /// model performs the validity repairs the paper assigns to the
-/// merge/CPU path: duplicate keys, dangling connections and — a deviation
-/// documented in `DESIGN.md` — cycle-creating additions are dropped.
+/// merge/CPU path, in this order:
+///
+/// 1. **Duplicates.** The first occurrence of each key in `genes` wins.
+/// 2. **Dangling connections.** A connection is dropped if an endpoint
+///    is missing, it ends at an input node or it is a self-loop.
+/// 3. **Cycles.** The paper does not say how the merge handles cycles.
+///    This model drops cycle-creating connections, because ADAM's
+///    wavefront schedule needs an acyclic graph. Connections are admitted
+///    greedily in key order, and each one that would close a cycle with
+///    those already admitted is dropped. Inherited connections get no
+///    priority: one can lose to a new connection with a smaller key.
+///
+/// Steps 1 and 2 cost a sort and a binary search per endpoint. Greedy
+/// admission is quadratic, but an acyclic candidate set is the common
+/// case and greedy admission would keep all of it, so only a set that
+/// fails [`Genome::from_parts`]'s linear cycle check runs it.
 ///
 /// # Errors
 ///
@@ -139,65 +156,53 @@ pub fn merge_child(
     num_outputs: usize,
     genes: Vec<Gene>,
 ) -> Result<MergeReport, GenomeError> {
-    let mut nodes: Vec<NodeGene> = Vec::new();
-    let mut conns: Vec<ConnGene> = Vec::new();
-    let mut dropped_duplicates = 0usize;
+    let received = genes.len();
+    let mut nodes: Vec<NodeGene> = Vec::with_capacity(received);
+    let mut conns: Vec<ConnGene> = Vec::with_capacity(received);
     for gene in genes {
         match gene {
-            Gene::Node(n) => {
-                if nodes.iter().any(|m| m.id == n.id) {
-                    dropped_duplicates += 1;
-                } else {
-                    nodes.push(n);
-                }
-            }
-            Gene::Conn(c) => {
-                if conns.iter().any(|d| d.key == c.key) {
-                    dropped_duplicates += 1;
-                } else {
-                    conns.push(c);
-                }
-            }
+            Gene::Node(n) => nodes.push(n),
+            Gene::Conn(c) => conns.push(c),
         }
     }
+    // Stable sorts keep arrival order within a key, so dedup keeps the
+    // first occurrence.
     nodes.sort_by_key(|n| n.id);
+    nodes.dedup_by_key(|n| n.id);
     conns.sort_by_key(|c| c.key);
+    conns.dedup_by_key(|c| c.key);
+    let dropped_duplicates = received - nodes.len() - conns.len();
 
-    // Dangling / into-input repair.
-    let mut dropped_dangling = 0usize;
-    let node_ids: std::collections::BTreeSet<_> = nodes.iter().map(|n| n.id).collect();
-    let input_ids: std::collections::BTreeSet<_> = nodes
-        .iter()
-        .filter(|n| n.node_type == NodeType::Input)
-        .map(|n| n.id)
-        .collect();
+    let candidates = conns.len();
     conns.retain(|c| {
-        let ok = node_ids.contains(&c.key.src)
-            && node_ids.contains(&c.key.dst)
-            && !input_ids.contains(&c.key.dst)
-            && c.key.src != c.key.dst;
-        if !ok {
-            dropped_dangling += 1;
-        }
-        ok
+        let node = |id| {
+            nodes
+                .binary_search_by_key(&id, |n: &NodeGene| n.id)
+                .ok()
+                .map(|i| &nodes[i])
+        };
+        c.key.src != c.key.dst
+            && node(c.key.src).is_some()
+            && node(c.key.dst).is_some_and(|d| d.node_type != NodeType::Input)
     });
+    let dropped_dangling = candidates - conns.len();
 
-    // Cycle repair: admit connections one by one, skipping any whose
-    // addition would close a cycle. Connections inherited from a valid
-    // parent are admitted first and cannot conflict among themselves.
-    let mut dropped_cyclic = 0usize;
-    let mut adjacency: std::collections::HashMap<u32, Vec<u32>> = std::collections::HashMap::new();
-    let mut admitted: Vec<ConnGene> = Vec::with_capacity(conns.len());
-    for c in conns {
-        if reaches(&adjacency, c.key.dst.0, c.key.src.0) {
-            dropped_cyclic += 1;
-            continue;
+    let parts = |conns: &[ConnGene]| {
+        Genome::from_parts(
+            key,
+            num_inputs,
+            num_outputs,
+            nodes.iter().copied(),
+            conns.iter().copied(),
+        )
+    };
+    let (genome, dropped_cyclic) = match parts(&conns) {
+        Err(GenomeError::Cycle) => {
+            let admitted = admit_acyclic(&conns);
+            (parts(&admitted)?, conns.len() - admitted.len())
         }
-        adjacency.entry(c.key.src.0).or_default().push(c.key.dst.0);
-        admitted.push(c);
-    }
-
-    let genome = Genome::from_parts(key, num_inputs, num_outputs, nodes, admitted)?;
+        built => (built?, 0),
+    };
     Ok(MergeReport {
         genome,
         dropped_dangling,
@@ -206,8 +211,22 @@ pub fn merge_child(
     })
 }
 
+/// Greedy cycle repair: admits `conns` in order, skipping each one whose
+/// destination already reaches its source through the admitted ones.
+fn admit_acyclic(conns: &[ConnGene]) -> Vec<ConnGene> {
+    let mut adjacency: HashMap<u32, Vec<u32>> = HashMap::new();
+    let mut admitted = Vec::with_capacity(conns.len());
+    for c in conns {
+        if !reaches(&adjacency, c.key.dst.0, c.key.src.0) {
+            adjacency.entry(c.key.src.0).or_default().push(c.key.dst.0);
+            admitted.push(*c);
+        }
+    }
+    admitted
+}
+
 /// DFS reachability over the admitted-connection adjacency.
-fn reaches(adjacency: &std::collections::HashMap<u32, Vec<u32>>, from: u32, to: u32) -> bool {
+fn reaches(adjacency: &HashMap<u32, Vec<u32>>, from: u32, to: u32) -> bool {
     if from == to {
         return true;
     }
@@ -232,6 +251,181 @@ mod tests {
     use genesys_neat::gene::{ConnKey, NodeId};
     use genesys_neat::trace::OpCounters;
     use genesys_neat::{InnovationTracker, NeatConfig, XorWow};
+    use proptest::prelude::*;
+
+    /// The quadratic Gene Merge that [`merge_child`] replaced, kept as its
+    /// differential reference: `iter().any` duplicate checks, set-based
+    /// dangling checks and a reachability test per admitted connection.
+    fn merge_child_reference(
+        key: u64,
+        num_inputs: usize,
+        num_outputs: usize,
+        genes: Vec<Gene>,
+    ) -> Result<MergeReport, GenomeError> {
+        let mut nodes: Vec<NodeGene> = Vec::new();
+        let mut conns: Vec<ConnGene> = Vec::new();
+        let mut dropped_duplicates = 0usize;
+        for gene in genes {
+            match gene {
+                Gene::Node(n) => {
+                    if nodes.iter().any(|m| m.id == n.id) {
+                        dropped_duplicates += 1;
+                    } else {
+                        nodes.push(n);
+                    }
+                }
+                Gene::Conn(c) => {
+                    if conns.iter().any(|d| d.key == c.key) {
+                        dropped_duplicates += 1;
+                    } else {
+                        conns.push(c);
+                    }
+                }
+            }
+        }
+        nodes.sort_by_key(|n| n.id);
+        conns.sort_by_key(|c| c.key);
+
+        let mut dropped_dangling = 0usize;
+        let node_ids: std::collections::BTreeSet<_> = nodes.iter().map(|n| n.id).collect();
+        let input_ids: std::collections::BTreeSet<_> = nodes
+            .iter()
+            .filter(|n| n.node_type == NodeType::Input)
+            .map(|n| n.id)
+            .collect();
+        conns.retain(|c| {
+            let ok = node_ids.contains(&c.key.src)
+                && node_ids.contains(&c.key.dst)
+                && !input_ids.contains(&c.key.dst)
+                && c.key.src != c.key.dst;
+            if !ok {
+                dropped_dangling += 1;
+            }
+            ok
+        });
+
+        let mut dropped_cyclic = 0usize;
+        let mut adjacency: HashMap<u32, Vec<u32>> = HashMap::new();
+        let mut admitted: Vec<ConnGene> = Vec::with_capacity(conns.len());
+        for c in conns {
+            if reaches(&adjacency, c.key.dst.0, c.key.src.0) {
+                dropped_cyclic += 1;
+                continue;
+            }
+            adjacency.entry(c.key.src.0).or_default().push(c.key.dst.0);
+            admitted.push(c);
+        }
+
+        let genome = Genome::from_parts(key, num_inputs, num_outputs, nodes, admitted)?;
+        Ok(MergeReport {
+            genome,
+            dropped_dangling,
+            dropped_cyclic,
+            dropped_duplicates,
+        })
+    }
+
+    /// A shuffled Gene Merge input built from an evolved genome, with
+    /// every kind of defect the repairs handle: duplicate node and
+    /// connection keys carrying different attributes, dangling endpoints,
+    /// connections into inputs, self-loops, reversed and random
+    /// connections that close cycles and, rarely, a missing interface
+    /// node. Returns `(num_inputs, num_outputs, genes)`.
+    fn defective_genes(seed: u64) -> (usize, usize, Vec<Gene>) {
+        let mut rng = XorWow::seed_from_u64_value(seed);
+        let (ni, no) = (1 + rng.below(4), 1 + rng.below(3));
+        let c = NeatConfig::builder(ni, no)
+            .node_add_prob(0.6)
+            .conn_add_prob(0.8)
+            .build()
+            .unwrap();
+        let mut innov = InnovationTracker::new(c.first_hidden_id());
+        let mut g = Genome::initial(0, &c, &mut rng);
+        let mut ops = OpCounters::new();
+        for _ in 0..rng.below(25) {
+            g.mutate(&c, &mut innov, &mut rng, &mut ops);
+        }
+        let ids: Vec<NodeId> = g.nodes().map(|n| n.id).collect();
+        let pick = |rng: &mut XorWow| ids[rng.below(ids.len())];
+        let mut genes: Vec<Gene> = g.nodes().map(|n| Gene::Node(*n)).collect();
+        genes.extend(g.conns().map(|c| Gene::Conn(*c)));
+        for d in 0..rng.below(6) {
+            let mut node = *g.nodes().nth(rng.below(g.num_nodes())).unwrap();
+            node.bias += 1.0 + d as f64;
+            genes.push(Gene::Node(node));
+        }
+        let conns: Vec<ConnGene> = g.conns().copied().collect();
+        for d in 0..rng.below(6).min(conns.len()) {
+            let mut conn = conns[rng.below(conns.len())];
+            conn.weight -= 1.0 + d as f64;
+            conn.enabled = !conn.enabled;
+            genes.push(Gene::Conn(conn));
+            let back = ConnGene::new(conn.key.dst, conn.key.src, 0.5 + d as f64);
+            genes.push(Gene::Conn(back));
+        }
+        let ghost = NodeId(g.max_node_id() + 1 + rng.below(3) as u32);
+        for _ in 0..rng.below(8) {
+            let (a, b) = (pick(&mut rng), pick(&mut rng));
+            let key = match rng.below(5) {
+                0 => ConnKey::new(a, ghost),
+                1 => ConnKey::new(ghost, b),
+                2 => ConnKey::new(a, NodeId(rng.below(ni) as u32)),
+                3 => ConnKey::new(a, a),
+                _ => ConnKey::new(a, b),
+            };
+            genes.push(Gene::Conn(ConnGene::new(key.src, key.dst, -0.25)));
+        }
+        if rng.chance(0.05) {
+            let missing = rng.below(ni + no);
+            genes.retain(|gene| !matches!(gene, Gene::Node(n) if n.id.0 as usize == missing));
+        }
+        for i in (1..genes.len()).rev() {
+            genes.swap(i, rng.below(i + 1));
+        }
+        (ni, no, genes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linear Gene Merge builds bit-identical children, drop counts
+        /// and errors as the quadratic reference.
+        #[test]
+        fn merge_child_matches_quadratic_reference(seed in any::<u64>()) {
+            let (ni, no, genes) = defective_genes(seed);
+            let fast = merge_child(9, ni, no, genes.clone());
+            let slow = merge_child_reference(9, ni, no, genes);
+            match (fast, slow) {
+                (Ok(a), Ok(b)) => {
+                    // `Debug` prints every f64 round-trip, so equal images
+                    // are equal bits (unlike `==`, which equates 0.0 and -0.0).
+                    prop_assert_eq!(format!("{:?}", a.genome), format!("{:?}", b.genome));
+                    prop_assert_eq!(
+                        (a.dropped_dangling, a.dropped_cyclic, a.dropped_duplicates),
+                        (b.dropped_dangling, b.dropped_cyclic, b.dropped_duplicates)
+                    );
+                }
+                (a, b) => prop_assert_eq!(a.err(), b.err()),
+            }
+        }
+    }
+
+    #[test]
+    fn defective_genes_cover_every_repair() {
+        let (mut dangling, mut cyclic, mut duplicates, mut errors) = (0, 0, 0, 0);
+        for seed in 0..256 {
+            let (ni, no, genes) = defective_genes(seed);
+            match merge_child(9, ni, no, genes) {
+                Ok(r) => {
+                    dangling += r.dropped_dangling;
+                    cyclic += r.dropped_cyclic;
+                    duplicates += r.dropped_duplicates;
+                }
+                Err(_) => errors += 1,
+            }
+        }
+        assert!(dangling > 0 && cyclic > 0 && duplicates > 0 && errors > 0);
+    }
 
     fn cfg() -> NeatConfig {
         NeatConfig::builder(2, 1).build().unwrap()
