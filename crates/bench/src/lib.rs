@@ -1,8 +1,8 @@
 //! # genesys-bench — the experiment harness
 //!
-//! Shared machinery for the binaries that regenerate every table and
-//! figure of the GeneSys evaluation (see `DESIGN.md` §3 for the index and
-//! `EXPERIMENTS.md` for paper-vs-measured records).
+//! Shared machinery for the binaries in `src/bin/` that regenerate the
+//! tables and figures of the GeneSys evaluation (`table*`, `fig*`,
+//! `ablation_*`, `ext_*`).
 //!
 //! The central artifact is a [`WorkloadRun`]: an actual multi-generation
 //! run of `genesys-neat` on one Table I environment, with the measured op

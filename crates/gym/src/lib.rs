@@ -12,8 +12,8 @@
 //! | Atari-RAM ([`atari_ram`]) | 128 bytes | 1 integer (button) |
 //!
 //! Classic-control dynamics are bit-faithful to OpenAI gym; the Box2D and
-//! Atari workloads are reduced-order substitutes documented in
-//! `DESIGN.md` §4.
+//! Atari workloads are reduced-order substitutes, each documented in its
+//! module ([`bipedal`], [`lunar_lander`], [`atari_ram`]).
 //!
 //! Every environment implements the buffer-writing primitives
 //! [`Environment::reset_into`] / [`Environment::step_into`], and the
@@ -29,11 +29,10 @@
 //! [`RolloutBatchScratch`] per worker; each lane's trajectory is
 //! bit-identical to the scalar loop on the same environment.
 //!
-//! The [`evaluator`] module packages the suite as session workloads:
-//! [`EpisodeEvaluator`] (one seeded episode per genome) and
-//! [`DriftingEvaluator`] (the nonstationary continuous-learning scenario,
-//! drift phase serialized across checkpoints) plug into
-//! `genesys_neat::Session`.
+//! The [`evaluator`] module packages the suite as a session workload:
+//! [`EpisodeEvaluator`] (one seeded episode per genome) plugs into
+//! `genesys_neat::Session`. Drifting worlds and curricula are built on top
+//! of this crate by `genesys_scenario`.
 //!
 //! # Quickstart
 //!
@@ -61,17 +60,15 @@ pub mod env;
 pub mod evaluator;
 pub mod lunar_lander;
 pub mod mountain_car;
-pub mod nonstationary;
 
 pub use acrobot::Acrobot;
 pub use atari_ram::{AirRaidRam, AlienRam, AmidarRam, AsterixRam, RamEnv, RamGame, RAM_SIZE};
 pub use bipedal::Bipedal;
 pub use cartpole::CartPole;
 pub use env::{binary_action, quantize_action, ActionKind, Environment, Step};
-pub use evaluator::{DriftingEvaluator, EpisodeEvaluator};
+pub use evaluator::EpisodeEvaluator;
 pub use lunar_lander::LunarLander;
 pub use mountain_car::MountainCar;
-pub use nonstationary::DriftingCartPole;
 
 use genesys_neat::{BatchScratch, NeatConfig, Network, Scratch};
 

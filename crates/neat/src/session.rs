@@ -128,8 +128,9 @@ pub trait Evaluator: Sync {
     /// Evaluates one genome's phenotype.
     fn evaluate(&self, ctx: EvalContext, net: &Network) -> Evaluation;
 
-    /// Serializable workload state, stored in checkpoints (e.g. the
-    /// nonstationary drift phase). Defaults to 0 for stateless workloads.
+    /// Serializable workload state, stored in checkpoints (e.g. a
+    /// curriculum's generation offset). Defaults to 0 for stateless
+    /// workloads.
     fn state(&self) -> u64 {
         0
     }
@@ -185,8 +186,8 @@ pub struct EvolutionState {
     pub next_key: u64,
     /// Best genome observed so far, if any generation was evaluated.
     pub best_ever: Option<Genome>,
-    /// Opaque workload state ([`Evaluator::state`]), e.g. the
-    /// nonstationary drift phase offset.
+    /// Opaque workload state ([`Evaluator::state`]), e.g. a curriculum's
+    /// generation offset.
     pub workload_state: u64,
 }
 

@@ -6,8 +6,6 @@
 //!
 //! All models consume a [`WorkloadProfile`] — op/byte counts *measured*
 //! from actual runs of `genesys-neat` — and apply per-device constants.
-//! See `DESIGN.md` §4 for why this substitution preserves the paper's
-//! comparisons.
 //!
 //! ```
 //! use genesys_platforms::{CpuModel, WorkloadProfile};

@@ -134,8 +134,8 @@ pub fn platform_by_label(label: &str) -> Option<&'static PlatformSpec> {
 }
 
 /// Workload statistics extracted from an actual NEAT run; every baseline
-/// cost model is driven by these measured counts (see `DESIGN.md` §4 on
-/// the trace-driven substitution for the paper's physical measurements).
+/// cost model is driven by these measured counts, the trace-driven
+/// substitute for the paper's physical measurements.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Workload label (e.g. "CartPole_v0").

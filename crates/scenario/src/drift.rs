@@ -334,6 +334,8 @@ mod tests {
         let (rb, _) = wrapped.step_into(&[0.2], &mut b);
         assert_eq!(ra, rb, "reward stream untouched");
         assert_eq!(wrapped.max_steps(), raw.max_steps());
+        assert_eq!(wrapped.observation_dim(), raw.observation_dim());
+        assert_eq!(wrapped.action_dim(), raw.action_dim());
         assert_eq!(wrapped.action_kind(), raw.action_kind());
         assert_eq!(wrapped.name(), raw.name());
     }

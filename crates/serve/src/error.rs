@@ -91,6 +91,14 @@ pub enum ServeError {
     /// The session has queued generations and cannot be evicted until
     /// they drain.
     SessionBusy(u64),
+    /// A `submit`/`resume` named a workload whose genome interface
+    /// ([`crate::WorkloadSpec::interface`]) differs from the config's.
+    WorkloadInterface {
+        /// `(inputs, outputs)` the workload drives.
+        workload: (usize, usize),
+        /// `(num_inputs, num_outputs)` of the config.
+        config: (usize, usize),
+    },
     /// A snapshot-image payload (submit config, resume/checkpoint state,
     /// observe event) failed to decode.
     Snapshot(SnapshotError),
@@ -125,6 +133,7 @@ impl ServeError {
             ServeError::UnknownSession(_) => 200,
             ServeError::ServerFull { .. } => 201,
             ServeError::SessionBusy(_) => 202,
+            ServeError::WorkloadInterface { .. } => 203,
             ServeError::Snapshot(e) => match e {
                 SnapshotError::BadMagic => 300,
                 SnapshotError::UnsupportedVersion(_) => 301,
@@ -163,6 +172,11 @@ impl fmt::Display for ServeError {
             ServeError::SessionBusy(id) => {
                 write!(f, "session {id} has queued generations")
             }
+            ServeError::WorkloadInterface { workload, config } => write!(
+                f,
+                "workload drives {}-input/{}-output genomes, config has {}/{}",
+                workload.0, workload.1, config.0, config.1
+            ),
             ServeError::Snapshot(e) => write!(f, "snapshot payload: {e}"),
             ServeError::Session(e) => write!(f, "session state: {e}"),
             ServeError::Io(e) => write!(f, "i/o: {e}"),

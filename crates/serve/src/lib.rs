@@ -20,8 +20,9 @@
 //!   `SessionError`, `SnapshotError` and the protocol errors into one
 //!   typed surface with stable numeric wire codes.
 //! * [`workload`] — the wire-nameable workloads ([`WorkloadSpec`]):
-//!   gym episode rollouts, the drifting nonstationary workload, and a
-//!   synthetic load-test fitness.
+//!   gym episode rollouts, a drifting CartPole world
+//!   (`genesys_scenario`'s `TaskSequence`), and a synthetic load-test
+//!   fitness.
 //! * [`net`] — a hand-rolled nonblocking TCP poll loop (offline
 //!   constraint: no I/O registry deps) plus the blocking [`WireClient`].
 //!

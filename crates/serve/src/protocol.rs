@@ -43,8 +43,9 @@ use genesys_neat::{NeatConfig, OwnedGenerationEvent};
 
 /// Protocol version byte; bumped on any wire layout change, other
 /// versions rejected (the snapshot version policy). v2 added the
-/// `dropped_events` counter to the `stats` reply.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// `dropped_events` counter to the `stats` reply; v3 cut the drifting
+/// workload spec to `world_seed` + `period` (in generations).
+pub const PROTOCOL_VERSION: u8 = 3;
 /// Hard cap on one frame's body. Large enough for megapopulation
 /// snapshot images, small enough that a hostile length prefix cannot
 /// balloon memory.
@@ -642,7 +643,6 @@ mod tests {
             WorkloadSpec::Drifting {
                 world_seed: 7,
                 period: 40,
-                episodes_per_generation: 16,
             },
         ]
     }

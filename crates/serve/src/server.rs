@@ -42,7 +42,7 @@ use crate::error::ServeError;
 use crate::protocol::{Reply, Request, ServerStats};
 use crate::workload::{ServeWorkload, WorkloadSpec};
 use genesys_core::snapshot::{snapshot_from_bytes, snapshot_to_bytes};
-use genesys_neat::{EvolutionBackend, Executor, OwnedGenerationEvent, Session};
+use genesys_neat::{EvolutionBackend, Executor, NeatConfig, OwnedGenerationEvent, Session};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs::File;
 use std::io::Write;
@@ -312,6 +312,7 @@ impl Scheduler {
                 workload,
                 config,
             } => {
+                check_interface(&workload, &config)?;
                 self.admit()?;
                 self.make_room(None)?;
                 let session = Session::builder(*config, seed)?;
@@ -327,6 +328,7 @@ impl Scheduler {
                 self.admit()?;
                 self.make_room(None)?;
                 let state = snapshot_from_bytes(&snapshot)?;
+                check_interface(&workload, state.config())?;
                 let generation = state.generation();
                 let session = Session::resume(state)?;
                 let session = self.finish_build(session.workload(workload.build()));
@@ -587,6 +589,19 @@ impl Scheduler {
             max_resident: self.config.max_resident as u64,
             dropped_events: self.dropped_events,
         }
+    }
+}
+
+/// Rejects a workload whose genome interface the config does not match:
+/// admitted, it would panic the scheduler thread on its first evaluation.
+fn check_interface(workload: &WorkloadSpec, config: &NeatConfig) -> Result<(), ServeError> {
+    let config = (config.num_inputs, config.num_outputs);
+    match workload.interface() {
+        Some(interface) if interface != config => Err(ServeError::WorkloadInterface {
+            workload: interface,
+            config,
+        }),
+        _ => Ok(()),
     }
 }
 

@@ -12,8 +12,9 @@
 
 use crate::error::{FrameError, ServeError};
 use crate::protocol::{Reader, Writer};
-use genesys_gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys_gym::{EnvKind, EpisodeEvaluator};
 use genesys_neat::{EvalContext, Evaluation, Evaluator, Network};
+use genesys_scenario::{DriftSchedule, TaskPlan, TaskSequence};
 
 /// A serializable workload description — what the `submit` and `resume`
 /// verbs carry instead of an `Evaluator` object.
@@ -34,17 +35,16 @@ pub enum WorkloadSpec {
         /// `EpisodeEvaluator::batch` for the seeding trade).
         batch: u32,
     },
-    /// The nonstationary drifting-CartPole workload
-    /// (`DriftingEvaluator`); its drift phase rides in the session's
-    /// `workload_state` and survives eviction.
+    /// CartPole in a drifting world: a single-task `TaskSequence` under
+    /// `DriftSchedule::Linear { period }`, so a fresh sensor-gain regime
+    /// starts every `period` generations and every genome of a
+    /// generation faces the same one. The sequence's generation offset
+    /// rides in the session's `workload_state` and survives eviction.
     Drifting {
-        /// World seed of the drift schedule.
+        /// World seed of the drift regimes.
         world_seed: u64,
-        /// Episodes per regime.
+        /// Generations per regime (0 is treated as 1).
         period: u64,
-        /// Episodes consumed per generation (normally the population
-        /// size).
-        episodes_per_generation: u64,
     },
 }
 
@@ -93,15 +93,10 @@ impl WorkloadSpec {
                 w.put_u32(episodes);
                 w.put_u32(batch);
             }
-            WorkloadSpec::Drifting {
-                world_seed,
-                period,
-                episodes_per_generation,
-            } => {
+            WorkloadSpec::Drifting { world_seed, period } => {
                 w.put_u16(2);
                 w.put_u64(world_seed);
                 w.put_u64(period);
-                w.put_u64(episodes_per_generation);
             }
         }
     }
@@ -130,7 +125,6 @@ impl WorkloadSpec {
             2 => WorkloadSpec::Drifting {
                 world_seed: r.take_u64()?,
                 period: r.take_u64()?,
-                episodes_per_generation: r.take_u64()?,
             },
             _ => {
                 return Err(ServeError::Frame(FrameError::BadPayload(
@@ -138,6 +132,19 @@ impl WorkloadSpec {
                 )))
             }
         })
+    }
+
+    /// The `(inputs, outputs)` genome interface the workload drives, or
+    /// `None` when any interface works (the synthetic fitness activates
+    /// whatever network it is given). A session whose config disagrees
+    /// would panic on its first evaluation, so the server checks this
+    /// before admitting it.
+    pub fn interface(&self) -> Option<(usize, usize)> {
+        match *self {
+            WorkloadSpec::Synthetic => None,
+            WorkloadSpec::Env { kind, .. } => Some(kind.interface()),
+            WorkloadSpec::Drifting { .. } => Some(EnvKind::CartPole.interface()),
+        }
     }
 
     /// Instantiates the evaluator this spec names. Each call builds a
@@ -156,15 +163,14 @@ impl WorkloadSpec {
                     .episodes(episodes as usize)
                     .batch(batch as usize),
             ),
-            WorkloadSpec::Drifting {
-                world_seed,
-                period,
-                episodes_per_generation,
-            } => ServeWorkload::Drifting(DriftingEvaluator::new(
-                world_seed,
-                period,
-                episodes_per_generation,
-            )),
+            WorkloadSpec::Drifting { world_seed, period } => {
+                ServeWorkload::Drifting(TaskSequence::new(TaskPlan::drifting(
+                    EnvKind::CartPole,
+                    DriftSchedule::Linear { period },
+                    world_seed,
+                    u64::MAX,
+                )))
+            }
         }
     }
 }
@@ -179,7 +185,7 @@ pub enum ServeWorkload {
     /// See [`WorkloadSpec::Env`].
     Episode(EpisodeEvaluator),
     /// See [`WorkloadSpec::Drifting`].
-    Drifting(DriftingEvaluator),
+    Drifting(TaskSequence),
 }
 
 /// The synthetic fitness: a pure function of `(ctx.seed(), network)`.
@@ -267,7 +273,6 @@ mod tests {
         let mut w = WorkloadSpec::Drifting {
             world_seed: 9,
             period: 3,
-            episodes_per_generation: 8,
         }
         .build();
         assert_eq!(w.state(), 0);

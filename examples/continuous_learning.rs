@@ -1,25 +1,26 @@
 //! Continuous learning — the paper's title scenario, with a power cycle
 //! in the middle.
 //!
-//! The environment drifts: every few generations the cart-pole's physics
-//! change (pole length, motor force). The evolving population keeps
-//! adapting, because evolution *is* its steady state. This demo goes one
-//! step further than watching fitness recover: **mid-drift, the run is
-//! checkpointed to a binary snapshot, torn down, restored from bytes and
-//! resumed** — and the resumed half is verified bit-identical to a run
-//! that never stopped. That is the full continuous-learning loop GeneSys
+//! The environment drifts: every two generations the cart-pole's sensors
+//! change (each observation gets a new gain and maybe a flipped sign), and
+//! every genome of a generation faces the same world. The evolving
+//! population keeps adapting, because evolution *is* its steady state.
+//! This demo goes one step further than watching fitness recover:
+//! **mid-drift, the run is checkpointed to a binary snapshot, torn down,
+//! restored from bytes and resumed** — and the resumed half is verified
+//! bit-identical to a run that never stopped. That is the full continuous-learning loop GeneSys
 //! argues for: learning that survives the power switch.
 //!
 //! Determinism note: drift regimes and episode seeds derive purely from
-//! `(seed, generation, genome index)` — the order-dependent episode
-//! counter this example once used could not be checkpointed, because its
-//! value depended on thread scheduling.
+//! `(seed, generation, genome index)`, so neither thread scheduling nor
+//! the power cycle can move them.
 //!
 //! Run with: `cargo run --release --example continuous_learning`
 //! (flags: `--pop N --generations N --threads N --seed N`)
 
-use genesys::gym::DriftingEvaluator;
+use genesys::gym::EnvKind;
 use genesys::neat::{GenerationStats, NeatConfig, Session};
+use genesys::scenario::{regime_gains, DriftSchedule, TaskPlan, TaskSequence};
 use genesys::soc::{snapshot_from_bytes, snapshot_to_bytes};
 use genesys_bench::ExperimentArgs;
 
@@ -35,15 +36,24 @@ fn main() {
         .pop_size(pop)
         .build()
         .expect("valid");
-    // One shared drifting world: all genomes face the same physics, and
-    // the regime advances with the global episode index (pop episodes per
-    // generation, new regime every 300 episodes ≈ every ~3 generations).
-    let workload = || DriftingEvaluator::new(world_seed, 300, pop as u64);
-    let print_generation = move |stats: &GenerationStats, last_regime: &mut u64| {
-        let probe =
-            DriftingEvaluator::new(world_seed, 300, pop as u64).probe(stats.generation as u64 + 1);
-        let (len, force) = probe.physics();
-        let regime = probe.regime();
+    // One shared drifting world: a fresh sensor regime every 2
+    // generations, so even a 6-generation run checkpointed at generation 3
+    // crosses a regime change on both sides of the power cycle.
+    let plan = TaskPlan::drifting(
+        EnvKind::CartPole,
+        DriftSchedule::Linear { period: 2 },
+        world_seed,
+        u64::MAX,
+    );
+    let workload = || TaskSequence::new(plan.clone());
+    let print_generation = |stats: &GenerationStats, last_regime: &mut u64| {
+        let regime = plan.regime(stats.generation as u64);
+        // A single-task plan keys its regimes by the plan's world seed.
+        let gains = regime_gains(plan.world_seed(), regime, 4)
+            .iter()
+            .map(|g| format!("{g:+.2}"))
+            .collect::<Vec<_>>()
+            .join(" ");
         let marker = if regime != *last_regime {
             "  <-- regime shift"
         } else {
@@ -51,12 +61,12 @@ fn main() {
         };
         *last_regime = regime;
         println!(
-            "{:>3} | {:>6} | {:>8.2} | {:>5.1} | {:>8.1} | {:>8.1}{}",
-            stats.generation, regime, len, force, stats.max_fitness, stats.mean_fitness, marker
+            "{:>3} | {:>6} | {} | {:>8.1} | {:>8.1}{}",
+            stats.generation, regime, gains, stats.max_fitness, stats.mean_fitness, marker
         );
     };
 
-    println!("gen | regime | pole len | force | best fit | mean fit");
+    println!("gen | regime | sensor gains           | best fit | mean fit");
     let mut last_regime = u64::MAX;
 
     // ---- Phase 1: evolve up to the checkpoint --------------------------
@@ -116,7 +126,7 @@ fn main() {
     println!("\nverified: checkpoint at generation {checkpoint_at} + restore + resume is");
     println!("bit-identical to a run that never stopped (genomes, fitness, species),");
     println!("even across different worker counts. The population re-adapts after");
-    println!("every physics shift with no reset or retraining — and now it survives");
+    println!("every sensor shift with no reset or retraining — and now it survives");
     println!("power cycles, too: the continuous-learning loop GeneSys is designed");
     println!("to keep running at the edge.");
 }

@@ -30,13 +30,13 @@ fn config() -> NeatConfig {
         .expect("valid config")
 }
 
-/// The drifting workload: the world regenerates every `period`
-/// generations, so a checkpoint must capture mid-drift state exactly.
+/// The drifting workload: CartPole's sensors change every `period`
+/// generations, so the checkpoint at generation 3 lands between two
+/// regime changes and must capture mid-drift state exactly.
 fn workload() -> WorkloadSpec {
     WorkloadSpec::Drifting {
         world_seed: SEED,
         period: 2,
-        episodes_per_generation: 8,
     }
 }
 

@@ -6,11 +6,10 @@
 //!
 //! * [`neat`] — the NEAT neuro-evolution algorithm (genes, genomes,
 //!   speciation, reproduction) and the [`Session`] run surface.
-//! * [`gym`] — the environment suite from Table I of the paper, plus the
-//!   session workloads ([`gym::EpisodeEvaluator`],
-//!   [`gym::DriftingEvaluator`]).
-//! * [`scenario`] — the continual-learning scenario suite: drift
-//!   schedules, task-sequence curricula with io-adapter mapping, and the
+//! * [`gym`] — the environment suite from Table I of the paper, plus its
+//!   session workload ([`gym::EpisodeEvaluator`]).
+//! * [`scenario`] — the continual-learning scenario suite and the
+//!   workspace's one drift model: drift schedules, task-sequence curricula with io-adapter mapping, and the
 //!   continual metrics (fitness matrix, forgetting, recovery) computed by
 //!   a session observer.
 //! * [`soc`] — the GeneSys SoC simulator (EvE, ADAM, SRAM, NoC, energy),

@@ -230,7 +230,7 @@ fn checkpoint_restore_resumes_evolution() {
 #[test]
 fn quantized_and_float_evolution_both_learn() {
     // Ablation: the SoC's fixed-point gene encoding does not break
-    // learnability on CartPole (DESIGN.md §5 quantization ablation).
+    // learnability on CartPole.
     let config = NeatConfig::builder(4, 1).pop_size(48).build().unwrap();
 
     let mut float = Session::builder(config.clone(), 77)

@@ -26,7 +26,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 /// The tenant mix: different workload shapes and seeds, so eviction and
 /// rehydration must round-trip heterogeneous state (including the
-/// drifting workload's episode offset).
+/// drifting workload's generation offset).
 fn tenants() -> Vec<(u64, WorkloadSpec, NeatConfig)> {
     let mut cartpole = EnvKind::CartPole.neat_config();
     cartpole.pop_size = 8;
@@ -48,7 +48,6 @@ fn tenants() -> Vec<(u64, WorkloadSpec, NeatConfig)> {
                 WorkloadSpec::Drifting {
                     world_seed: *seed,
                     period: 2,
-                    episodes_per_generation: 8,
                 },
                 drift_cfg.clone(),
             ),
@@ -301,6 +300,81 @@ fn corrupt_wire_frames_get_typed_replies_and_the_server_survives() {
 
     shutdown.store(true, Ordering::Relaxed);
     net_thread.join().unwrap().unwrap();
+}
+
+#[test]
+fn interface_mismatch_is_refused_and_the_scheduler_survives() {
+    // A CartPole workload (4 inputs, 1 output) under a 3/2 config would
+    // panic the scheduler on its first step, taking every tenant down
+    // with it, so it must be refused up front.
+    let server = Server::start(ServerConfig::new(temp_dir("mismatch"))).unwrap();
+    let client = server.client();
+    let (seed, _, synth) = tenants().remove(0);
+    let cartpole = WorkloadSpec::Env {
+        kind: EnvKind::CartPole,
+        episodes: 1,
+        batch: 1,
+    };
+    let err = client
+        .call(Request::Submit {
+            seed,
+            workload: cartpole,
+            config: Box::new(synth.clone()),
+        })
+        .unwrap_err();
+    assert_eq!(err.code(), 203, "WorkloadInterface: {err}");
+
+    // Resume checks the snapshot's config the same way.
+    let Reply::Submitted { session, .. } = client
+        .call(Request::Submit {
+            seed,
+            workload: WorkloadSpec::Synthetic,
+            config: Box::new(synth),
+        })
+        .unwrap()
+    else {
+        panic!("expected Submitted")
+    };
+    let Reply::Snapshot { image, .. } = client.call(Request::Checkpoint { session }).unwrap()
+    else {
+        panic!("expected Snapshot")
+    };
+    let err = client
+        .call(Request::Resume {
+            workload: cartpole,
+            snapshot: image,
+        })
+        .unwrap_err();
+    assert_eq!(err.code(), 203, "WorkloadInterface: {err}");
+
+    // The scheduler is alive: stats answer, and a well-formed tenant
+    // still matches its direct run.
+    let Reply::Stats(stats) = client.call(Request::Stats).unwrap() else {
+        panic!("expected Stats")
+    };
+    assert_eq!(stats.sessions, 1, "refused requests admit nothing");
+    let (seed, workload, config) = tenants().remove(2);
+    let Reply::Submitted { session, .. } = client
+        .call(Request::Submit {
+            seed,
+            workload,
+            config: Box::new(config.clone()),
+        })
+        .unwrap()
+    else {
+        panic!("expected Submitted")
+    };
+    client
+        .call(Request::Step {
+            session,
+            generations: GENERATIONS,
+        })
+        .unwrap();
+    let Reply::Snapshot { image, .. } = client.call(Request::Checkpoint { session }).unwrap()
+    else {
+        panic!("expected Snapshot")
+    };
+    assert_eq!(image, direct_image(seed, &workload, &config));
 }
 
 /// Blocking read of exactly one reply frame from a raw socket.

@@ -32,7 +32,6 @@ impl Strategy for ArbWorkload {
             _ => WorkloadSpec::Drifting {
                 world_seed: rng.next_u64(),
                 period: 1 + rng.next_u64() % 100,
-                episodes_per_generation: 1 + rng.next_u64() % 50,
             },
         }
     }
@@ -187,6 +186,13 @@ fn pinned_errors() -> Vec<(ServeError, u32)> {
         (ServeError::UnknownSession(5), 200),
         (ServeError::ServerFull { live: 2, cap: 2 }, 201),
         (ServeError::SessionBusy(5), 202),
+        (
+            ServeError::WorkloadInterface {
+                workload: (4, 1),
+                config: (3, 2),
+            },
+            203,
+        ),
         (ServeError::Io("gone".into()), 500),
         (ServeError::Disconnected, 501),
     ]

@@ -4,11 +4,12 @@
 //! format), restore into a fresh process-equivalent `Session`, run N more
 //! generations: the fitness history, species assignments and genome bytes
 //! must be identical to an uninterrupted G+N run — at 1 and 4 workers, on
-//! CartPole and on the nonstationary drift environment, and across
-//! *different* worker counts before and after the power cycle.
+//! CartPole and on a drifting CartPole world, and across *different*
+//! worker counts before and after the power cycle.
 
-use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys::gym::{EnvKind, EpisodeEvaluator};
 use genesys::neat::{Evaluator, NeatConfig, RunState, Session};
+use genesys::scenario::{DriftSchedule, TaskPlan, TaskSequence};
 use genesys::soc::{encode_population, snapshot_from_bytes, snapshot_to_bytes};
 
 const G: usize = 3;
@@ -24,6 +25,18 @@ fn cartpole_config() -> NeatConfig {
 
 fn drift_config() -> NeatConfig {
     NeatConfig::builder(4, 1).pop_size(POP).build().unwrap()
+}
+
+/// CartPole whose sensors drift to a fresh regime every 2 generations:
+/// regimes 0,0,1 before the checkpoint at G = 3 and 1,2,2 after it, so
+/// both halves of the power cycle cross a regime change.
+fn drifting(world_seed: u64) -> TaskSequence {
+    TaskSequence::new(TaskPlan::drifting(
+        EnvKind::CartPole,
+        DriftSchedule::Linear { period: 2 },
+        world_seed,
+        u64::MAX,
+    ))
 }
 
 /// Runs the uninterrupted G+N reference and the checkpointed G → bytes →
@@ -139,27 +152,13 @@ fn cartpole_resume_is_bit_identical_at_4_workers() {
 }
 
 #[test]
-fn nonstationary_resume_is_bit_identical_at_1_worker() {
-    assert_resume_bit_identical(
-        drift_config(),
-        4242,
-        || DriftingEvaluator::new(4242, 30, POP as u64),
-        1,
-        1,
-        "drift w1",
-    );
+fn drift_resume_is_bit_identical_at_1_worker() {
+    assert_resume_bit_identical(drift_config(), 4242, || drifting(4242), 1, 1, "drift w1");
 }
 
 #[test]
-fn nonstationary_resume_is_bit_identical_at_4_workers() {
-    assert_resume_bit_identical(
-        drift_config(),
-        4242,
-        || DriftingEvaluator::new(4242, 30, POP as u64),
-        4,
-        4,
-        "drift w4",
-    );
+fn drift_resume_is_bit_identical_at_4_workers() {
+    assert_resume_bit_identical(drift_config(), 4242, || drifting(4242), 4, 4, "drift w4");
 }
 
 #[test]
@@ -174,22 +173,15 @@ fn worker_count_may_change_across_the_power_cycle() {
         4,
         "cartpole w1->w4",
     );
-    assert_resume_bit_identical(
-        drift_config(),
-        99,
-        || DriftingEvaluator::new(99, 30, POP as u64),
-        4,
-        1,
-        "drift w4->w1",
-    );
+    assert_resume_bit_identical(drift_config(), 99, || drifting(99), 4, 1, "drift w4->w1");
 }
 
 #[test]
 fn drift_phase_offset_survives_the_snapshot() {
-    // A run whose drift started mid-world (nonzero episode offset) must
-    // resume in the same regime schedule.
+    // A run whose drift started mid-world (nonzero generation offset)
+    // must resume in the same regime schedule.
     let config = drift_config();
-    let make = || DriftingEvaluator::new(5, 20, POP as u64).with_episode_offset(123);
+    let make = || drifting(5).with_generation_offset(123);
 
     let mut full = Session::builder(config.clone(), 5)
         .unwrap()
@@ -208,9 +200,9 @@ fn drift_phase_offset_survives_the_snapshot() {
     // Resume with a *fresh* evaluator (offset 0): the snapshot restores it.
     let mut tail = Session::resume(state)
         .unwrap()
-        .workload(DriftingEvaluator::new(5, 20, POP as u64))
+        .workload(drifting(5))
         .build();
-    assert_eq!(tail.workload().episode_offset(), 123);
+    assert_eq!(tail.workload().generation_offset(), 123);
     let tail_report = tail.run(2);
     assert_eq!(&full_report.history[2..], &tail_report.history[..]);
 }

@@ -3,11 +3,12 @@
 //! truncation, bit flips, garbage — returns a typed error and never
 //! panics.
 
-use genesys::gym::{DriftingEvaluator, EnvKind, EpisodeEvaluator};
+use genesys::gym::{EnvKind, EpisodeEvaluator};
 use genesys::neat::{
     BestSummary, EvalContext, GenerationStats, Genome, NeatConfig, Network, NodeGene, NodeId,
     OwnedGenerationEvent, RunState, Session,
 };
+use genesys::scenario::{DriftSchedule, TaskPlan, TaskSequence};
 use genesys::soc::snapshot::{
     decode_config_image, decode_event, encode_config_image, encode_event, EVENT_VERSION,
 };
@@ -67,7 +68,13 @@ fn evolved_state(seed: u64, generations: usize, pop: usize, workload: u8) -> Run
             let mut s = Session::builder(config, seed)
                 .unwrap()
                 .workload(
-                    DriftingEvaluator::new(seed, 10, pop as u64).with_episode_offset(seed % 977),
+                    TaskSequence::new(TaskPlan::drifting(
+                        EnvKind::CartPole,
+                        DriftSchedule::Linear { period: 2 },
+                        seed,
+                        u64::MAX,
+                    ))
+                    .with_generation_offset(seed % 977),
                 )
                 .build();
             s.run(generations.min(3));

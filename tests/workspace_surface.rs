@@ -65,3 +65,57 @@ fn quickstart_flow_runs() {
     assert!(stats.max_fitness >= 0.0);
     assert_eq!(session.generation(), 1);
 }
+
+/// Every Markdown file a source comment or string cites (a repo-relative
+/// path ending in `.md`) must exist, so docs cannot point at deleted or
+/// never-written files.
+#[test]
+fn cited_markdown_files_exist() {
+    fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                if path.file_name() != Some("target".as_ref()) {
+                    rust_files(&path, out);
+                }
+            } else if path.extension() == Some("rs".as_ref()) {
+                out.push(path);
+            }
+        }
+    }
+    let is_path_byte = |b: u8| b.is_ascii_alphanumeric() || b"_./-".contains(&b);
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    let mut missing = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).unwrap();
+        let bytes = text.as_bytes();
+        for (end, _) in text.match_indices(".md") {
+            let after = end + 3;
+            if bytes
+                .get(after)
+                .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+            {
+                continue; // `.mdx`, `.md_foo`: not a Markdown citation
+            }
+            let mut start = end;
+            while start > 0 && is_path_byte(bytes[start - 1]) {
+                start -= 1;
+            }
+            let cited = &text[start..after];
+            if start < end && !root.join(cited).exists() {
+                let line = text[..end].lines().count();
+                let at = file.strip_prefix(root).unwrap().display();
+                missing.push(format!("{at}:{line}: {cited}"));
+            }
+        }
+    }
+    assert!(
+        !files.is_empty() && missing.is_empty(),
+        "cited Markdown files that do not exist:\n{}",
+        missing.join("\n")
+    );
+}
